@@ -63,7 +63,8 @@ object Datasets {
       val edges = GraphGen.plantedCommunities(spark, nCommunities = 60,
         baseSize = 90, intraDeg = 6, interEdges = 700, seed = 7L)
       val weights = PageRankWeights.compute(spark, edges)
-      SparkGraphStore.build(spark, edges, weights).toLocal
+      val store = SparkGraphStore.build(spark, edges, weights)
+      try store.toLocal finally store.unpersist()
     })
 
   /** Weight-banded block graph for the non-containment experiment: every

@@ -1,17 +1,24 @@
 package repro.spark
 
-import repro.core.{Community, CommunityIndex, CountIC, SearchStats}
+import repro.core.{Community, CommunityIndex, CountIC, CvsResult, SearchStats}
+import repro.graph.WGraph
 
 /** Distributed LocalSearch: the paper's Alg. 1 with Spark as the graph
   * substrate (the "iterative local expansion" architecture of DESIGN.md §2).
   *
-  * The driver never materialises more than the current prefix: each round
-  * pulls the top-p ranks and their `maxRank < p` edges out of the
-  * [[SparkGraphStore]] via Catalyst filters, runs the linear-time CountIC
-  * peel locally, and doubles the prefix size until k communities exist. The
-  * δ-growth step is answered from the driver-resident per-rank histogram
-  * (constant per-vertex memory, per the semi-external model) without a
-  * cluster round-trip.
+  * The driver never materialises more than the current prefix. Each round
+  * runs one Spark job that returns only the edges the prefix gained since
+  * the previous round (a binary-searched slice of each partition of the
+  * [[SparkGraphStore]]), appends them to the edges already held, builds the
+  * prefix with the driver-resident ids and weights, runs the linear-time
+  * CountIC peel locally, and grows the prefix by δ until k communities
+  * exist. The δ-growth step is answered from the driver-resident per-rank
+  * histogram (constant per-vertex memory, per the semi-external model)
+  * without a cluster round-trip.
+  *
+  * Each round's job carries the description
+  * `DistLocalSearch k=… γ=… round i p=…`; the caller's job group and
+  * description are left in place.
   */
 object DistLocalSearch {
 
@@ -19,23 +26,34 @@ object DistLocalSearch {
   def topK(store: SparkGraphStore, k: Int, gamma: Int,
            delta: Double = 2.0): (Seq[Community], SearchStats) = {
     require(k >= 1, "k must be positive")
+    require(gamma >= 1, "gamma must be positive")
+    require(delta > 1.0, "growth ratio must exceed 1")
+    val sc = store.spark.sparkContext
+    val callerDescription = sc.getLocalProperty("spark.job.description")
     var p = math.min(store.n, k + gamma)
+    var fetched = 0
+    var edges = Array.emptyLongArray
     var rounds = 0
     var work = 0L
     var done = false
-    var prefix: repro.graph.WGraph = null
-    var res: repro.core.CvsResult = null
-    while (!done) {
-      prefix = store.collectPrefix(p)
-      res = CountIC.run(prefix, p, gamma)
-      rounds += 1
-      work += store.prefixSize(p)
-      if (res.count >= k || p == store.n) done = true
-      else {
-        val target = math.ceil(delta * store.prefixSize(p).toDouble).toLong
-        p = math.min(store.n, math.max(p + 1, store.growTo(target)))
+    var prefix: WGraph = null
+    var res: CvsResult = null
+    try {
+      while (!done) {
+        rounds += 1
+        sc.setJobDescription(s"DistLocalSearch k=$k γ=$gamma round $rounds p=$p")
+        edges ++= store.fetchEdges(fetched, p)
+        fetched = p
+        prefix = store.prefixGraph(p, edges)
+        res = CountIC.run(prefix, p, gamma)
+        work += store.prefixSize(p)
+        if (res.count >= k || p == store.n) done = true
+        else {
+          val target = math.ceil(delta * store.prefixSize(p).toDouble).toLong
+          p = math.min(store.n, math.max(p + 1, store.growTo(target)))
+        }
       }
-    }
+    } finally sc.setJobDescription(callerDescription)
     val idx = new CommunityIndex(prefix)
     val from = math.max(0, res.keys.length - k)
     idx.process(res, p, from)

@@ -1,36 +1,40 @@
 package repro.spark
 
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.graph.WGraph
 
-/** The graph data management system of the reproduction: a weight-ordered
-  * columnar store backed by DataFrames.
+/** The graph data management system of the reproduction: the paper's
+  * semi-external layout (§3.1 Remark) with Spark holding the edges.
   *
-  * This realises the only interface LocalSearch requires of its substrate
-  * (§3.1 Remark): vertices retrievable in decreasing weight order together
-  * with their higher-weight neighbourhoods. Ranks are assigned by a window
-  * over (weight desc, id asc); every edge carries `maxRank` — the rank of
-  * its lower-weight endpoint, which is exactly the paper's edge-weight sort
-  * key — so the prefix subgraph `G≥τ` on the top-p ranks is the Catalyst
-  * filter `maxRank < p`.
-  *
-  * Per the semi-external assumption ("memory holds constant information per
-  * vertex"), the per-rank edge histogram is collected once to the driver to
-  * drive the exponential growth of Alg. 1 without cluster round-trips.
+  * This realises the only interface LocalSearch requires of its substrate:
+  * vertices retrievable in decreasing weight order together with their
+  * higher-weight neighbourhoods. Ranks order vertices by (weight desc,
+  * id asc). Per the semi-external assumption ("memory holds constant
+  * information per vertex"), the driver keeps ids, weights and the per-rank
+  * edge histogram in rank-indexed arrays. The edges stay in the cluster as
+  * one sorted `Array[Long]` per partition, each entry packing
+  * `maxRank << 32 | minRank`. `maxRank` — the rank of the lower-weight
+  * endpoint — is the paper's edge-weight sort key, so the edges of the top-p
+  * prefix `G≥τ` are the entries below `p << 32`, and the edges a prefix gains
+  * when it grows from `p0` to `p` are one binary-searched slice per partition.
   */
-final class SparkGraphStore(
-    /** (id, weight, rank); rank 0 = highest weight. */
-    val vertices: DataFrame,
-    /** (src, dst, srcRank, dstRank, maxRank). */
-    val edges: DataFrame,
+final class SparkGraphStore private (
+    private[spark] val spark: SparkSession,
+    /** Original id by rank; rank 0 = highest weight. */
+    ids: Array[Long],
+    /** Weight by rank; non-increasing. */
+    weights: Array[Double],
+    /** One ascending array of packed edges per partition; persisted. */
+    packed: RDD[Array[Long]],
     /** cumEdges(p) = number of edges with maxRank < p (length n+1). */
     val cumEdges: Array[Long],
-    /** Number of vertices. */
-    val n: Int,
 ) {
+
+  /** Number of vertices. */
+  val n: Int = ids.length
 
   /** size (|V|+|E|) of the top-`p` prefix subgraph. */
   def prefixSize(p: Int): Long = p + cumEdges(p)
@@ -49,61 +53,129 @@ final class SparkGraphStore(
     lo
   }
 
-  /** Pull the top-`p` prefix out of the cluster as a local [[WGraph]]. */
-  def collectPrefix(p: Int): WGraph = {
-    val vRows = vertices.filter(col("rank") < p)
-      .select("rank", "id", "weight").collect()
-    val weights = new Array[Double](vRows.length)
-    val ids = new Array[Long](vRows.length)
-    vRows.foreach { r =>
-      val rank = r.getInt(0)
-      ids(rank) = r.getLong(1)
-      weights(rank) = r.getDouble(2)
-    }
-    val pairs = edges.filter(col("maxRank") < p)
-      .select("srcRank", "dstRank").collect()
-      .map(r => (r.getInt(0), r.getInt(1)))
-    WGraph.fromRanked(weights, ids, pairs)
+  /** The edges whose maxRank lies in `[from, until)`, packed as
+    * `maxRank << 32 | minRank`, fetched by one Spark job.
+    */
+  private[spark] def fetchEdges(from: Int, until: Int): Array[Long] = {
+    val lo = from.toLong << 32
+    val hi = until.toLong << 32
+    val slices = spark.sparkContext.runJob(packed, (it: Iterator[Array[Long]]) => {
+      val a = it.next()
+      java.util.Arrays.copyOfRange(a, SparkGraphStore.lowerBound(a, lo), SparkGraphStore.lowerBound(a, hi))
+    })
+    Array.concat(slices.toSeq: _*)
   }
+
+  /** The top-`p` prefix as a local [[WGraph]], given exactly its edges in
+    * packed form (every entry with maxRank < p).
+    */
+  private[spark] def prefixGraph(p: Int, edges: Array[Long]): WGraph =
+    WGraph.fromRanked(java.util.Arrays.copyOf(weights, p), java.util.Arrays.copyOf(ids, p),
+      edges.view.map(e => ((e >>> 32).toInt, e.toInt)))
+
+  /** Pull the top-`p` prefix out of the cluster as a local [[WGraph]]. */
+  def collectPrefix(p: Int): WGraph = prefixGraph(p, fetchEdges(0, p))
 
   /** The whole graph, local. */
   def toLocal: WGraph = collectPrefix(n)
 
-  def unpersist(): Unit = {
-    vertices.unpersist()
-    edges.unpersist()
+  /** (id, weight, rank), built from the driver arrays on each call; not cached. */
+  def vertices: DataFrame = {
+    import spark.implicits._
+    ids.indices.map(r => (ids(r), weights(r), r)).toDF("id", "weight", "rank")
   }
+
+  /** (src, dst, srcRank, dstRank, maxRank) with src < dst, derived from the
+    * packed edges on each call; not cached.
+    */
+  def edges: DataFrame = {
+    import spark.implicits._
+    val id = ids // a local, so the task closure does not capture the store
+    packed.flatMap(_.iterator.map { e =>
+      val hi = (e >>> 32).toInt
+      val lo = e.toInt
+      if (id(lo) < id(hi)) (id(lo), id(hi), lo, hi, hi) else (id(hi), id(lo), hi, lo, hi)
+    }).toDF("src", "dst", "srcRank", "dstRank", "maxRank")
+  }
+
+  def unpersist(): Unit = packed.unpersist()
 }
 
 object SparkGraphStore {
 
-  /** Build the store from a simple undirected edge list and a weight table.
-    * Vertices are edge-induced; `weightsDf` must cover every endpoint.
+  /** Build the store from a simple undirected edge list `(src, dst)` and a
+    * weight table `(id, weight)`. Rejects duplicate ids, NaN weights,
+    * self-loops, and edges with an endpoint missing from `weightsDf`.
     */
   def build(spark: SparkSession, edgesDf: DataFrame, weightsDf: DataFrame): SparkGraphStore = {
-    import spark.implicits._
-    val ranked = weightsDf
-      .withColumn("rank",
-        (row_number().over(Window.orderBy(desc("weight"), asc("id"))) - 1).cast("int"))
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val n = ranked.count().toInt
-
-    val e = edgesDf
-      .join(ranked.select($"id".as("src"), $"rank".as("srcRank")), "src")
-      .join(ranked.select($"id".as("dst"), $"rank".as("dstRank")), "dst")
-      .withColumn("maxRank", greatest($"srcRank", $"dstRank"))
-      .select("src", "dst", "srcRank", "dstRank", "maxRank")
-      .persist(StorageLevel.MEMORY_AND_DISK)
-
-    // Driver-side histogram of edges per maxRank (vertex-sized, allowed by
-    // the semi-external memory model).
-    val hist = new Array[Long](n + 1)
-    e.groupBy("maxRank").count().collect().foreach { r =>
-      hist(r.getInt(0) + 1) = r.getLong(1)
+    val rows = weightsDf.select(col("id").cast("long"), col("weight").cast("double")).collect()
+    val n = rows.length
+    val idAt = rows.map(_.getLong(0))
+    val wAt = rows.map(_.getDouble(1))
+    wAt.indices.find(i => wAt(i).isNaN).foreach { i =>
+      throw new IllegalArgumentException(s"vertex ${idAt(i)} has a NaN weight")
     }
-    var p = 1
-    while (p <= n) { hist(p) += hist(p - 1); p += 1 }
+    val byRank = (0 until n).sortWith((a, b) => wAt(a) > wAt(b) || (wAt(a) == wAt(b) && idAt(a) < idAt(b)))
+    val ids = byRank.map(idAt).toArray
+    val weights = byRank.map(wAt).toArray
 
-    new SparkGraphStore(ranked, e, hist, n)
+    // Ranks are looked up in the packing task by binary search over the
+    // ascending ids, so a missing endpoint fails the first job over the edges.
+    val byId = (0 until n).sortBy(ids(_)).toArray
+    val sortedIds = byId.map(ids)
+    (1 until n).find(i => sortedIds(i) == sortedIds(i - 1)).foreach { i =>
+      throw new IllegalArgumentException(s"vertex id ${sortedIds(i)} appears twice in the weight table")
+    }
+    val packed = edgesDf.select(col("src").cast("long"), col("dst").cast("long")).rdd
+      .mapPartitions { it =>
+        val b = Array.newBuilder[Long]
+        it.foreach { r =>
+          val (s, d) = (r.getLong(0), r.getLong(1))
+          def rank(v: Long): Long = {
+            val i = java.util.Arrays.binarySearch(sortedIds, v)
+            if (i < 0) throw new IllegalArgumentException(s"edge ($s,$d) references vertex $v, which has no weight")
+            byId(i).toLong
+          }
+          if (s == d) throw new IllegalArgumentException(s"edge ($s,$d) is a self-loop")
+          val (rs, rd) = (rank(s), rank(d))
+          b += (math.max(rs, rd) << 32 | math.min(rs, rd))
+        }
+        val a = b.result()
+        java.util.Arrays.sort(a)
+        Iterator.single(a)
+      }
+      .persist(StorageLevel.MEMORY_AND_DISK)
+
+    // Per-partition (maxRank, count) runs, packed as maxRank << 32 | count.
+    val runs = spark.sparkContext.runJob(packed, (it: Iterator[Array[Long]]) => {
+      val a = it.next()
+      val b = Array.newBuilder[Long]
+      var i = 0
+      while (i < a.length) {
+        val r = a(i) >>> 32
+        var j = i + 1
+        while (j < a.length && (a(j) >>> 32) == r) j += 1
+        b += (r << 32 | (j - i))
+        i = j
+      }
+      b.result()
+    })
+    val cum = new Array[Long](n + 1)
+    for (part <- runs; run <- part) cum((run >>> 32).toInt + 1) += run & 0xffffffffL
+    var p = 1
+    while (p <= n) { cum(p) += cum(p - 1); p += 1 }
+
+    new SparkGraphStore(spark, ids, weights, packed, cum)
+  }
+
+  /** First index of the ascending array `a` whose entry is ≥ `key`. */
+  private def lowerBound(a: Array[Long], key: Long): Int = {
+    var lo = 0
+    var hi = a.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < key) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 }

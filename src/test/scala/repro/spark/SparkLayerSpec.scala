@@ -1,10 +1,14 @@
 package repro.spark
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.LocalSearch
 import repro.gen.GraphGen
 import repro.graph.GraphOps
+
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
 
 class SparkLayerSpec extends SparkSpec {
 
@@ -128,6 +132,34 @@ class SparkLayerSpec extends SparkSpec {
     assert((0 until local.n).forall(r => wById(local.origId(r)) == local.weights(r)))
   }
 
+  test("store build rejects an edge whose endpoint has no weight") {
+    val e = Seq((1L, 2L), (2L, 9L)).toDF("src", "dst")
+    val w = Seq((1L, 1.0), (2L, 0.5)).toDF("id", "weight")
+    val err = intercept[Exception](SparkGraphStore.build(spark, e, w))
+    assert(err.getMessage.contains("edge (2,9) references vertex 9"), err.getMessage)
+  }
+
+  test("store build rejects a self-loop") {
+    val e = Seq((1L, 2L), (2L, 2L)).toDF("src", "dst")
+    val w = Seq((1L, 1.0), (2L, 0.5)).toDF("id", "weight")
+    val err = intercept[Exception](SparkGraphStore.build(spark, e, w))
+    assert(err.getMessage.contains("edge (2,2) is a self-loop"), err.getMessage)
+  }
+
+  test("store build rejects duplicate vertex ids") {
+    val e = Seq((1L, 2L)).toDF("src", "dst")
+    val w = Seq((1L, 1.0), (2L, 0.5), (1L, 0.25)).toDF("id", "weight")
+    val err = intercept[IllegalArgumentException](SparkGraphStore.build(spark, e, w))
+    assert(err.getMessage.contains("vertex id 1 appears twice"), err.getMessage)
+  }
+
+  test("store build rejects NaN weights") {
+    val e = Seq((1L, 2L)).toDF("src", "dst")
+    val w = Seq((1L, 1.0), (2L, Double.NaN)).toDF("id", "weight")
+    val err = intercept[IllegalArgumentException](SparkGraphStore.build(spark, e, w))
+    assert(err.getMessage.contains("vertex 2 has a NaN weight"), err.getMessage)
+  }
+
   // ------------------------------------------------------------------- k-core
 
   test("SparkKCore matches the local γ-core") {
@@ -158,13 +190,68 @@ class SparkLayerSpec extends SparkSpec {
 
   // --------------------------------------------------------- DistLocalSearch
 
+  /** (k, γ) pairs for DistLocalSearch; some need more than one round. */
+  private val searchPairs = Seq((1, 4), (5, 4), (10, 4), (40, 4), (100, 4), (10, 8), (30, 8))
+
   test("DistLocalSearch equals local LocalSearch") {
-    for (k <- Seq(1, 5, 10)) {
-      val (dist, distStats) = DistLocalSearch.topK(store, k, 4)
-      val (loc, locStats) = LocalSearch.topK(local, k, 4)
+    val rounds = for ((k, gamma) <- searchPairs) yield {
+      val (dist, distStats) = DistLocalSearch.topK(store, k, gamma)
+      val (loc, locStats) = LocalSearch.topK(local, k, gamma)
       assert(dist.map(c => (c.influence, c.members.toSet)) ==
-             loc.map(c => (c.influence, c.members.toSet)), s"k=$k")
-      assert(distStats.finalPrefix == locStats.finalPrefix)
+             loc.map(c => (c.influence, c.members.toSet)), s"k=$k γ=$gamma")
+      assert(distStats == locStats, s"k=$k γ=$gamma")
+      distStats.rounds
+    }
+    assert(rounds.max >= 2, s"rounds per pair: ${searchPairs.zip(rounds)}")
+  }
+
+  test("collectPrefix equals the top-p prefix of toLocal") {
+    for (p <- Seq(0, 1, store.n / 3, store.n)) {
+      val g = store.collectPrefix(p)
+      assert(g.n == p)
+      assert(g.weights.toSeq == local.weights.take(p).toSeq, s"p=$p")
+      assert(g.origId.toSeq == local.origId.take(p).toSeq, s"p=$p")
+      assert((0 until p).forall(u => g.adjHi(u).sameElements(local.adjHi(u))), s"p=$p")
+    }
+  }
+
+  test("DistLocalSearch runs one described job per round in the caller's job group") {
+    val (k, gamma) = searchPairs.maxBy { case (k, g) => LocalSearch.topK(local, k, g)._2.rounds }
+    val sc = spark.sparkContext
+    assert(store.n > 0) // builds the lazy store outside the group under test
+    val descriptions = new ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties.getProperty("spark.jobGroup.id") == "dls-rounds")
+          descriptions.add(e.properties.getProperty("spark.job.description"))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("dls-rounds", "caller")
+      val (_, stats) = DistLocalSearch.topK(store, k, gamma)
+      assert(sc.getLocalProperty("spark.job.description") == "caller")
+      // The listener bus is internal to Spark, so it is drained by reflection.
+      val bus = classOf[org.apache.spark.SparkContext].getMethod("listenerBus").invoke(sc)
+      bus.getClass.getMethod("waitUntilEmpty").invoke(bus)
+      val seen = descriptions.asScala.toSeq
+      assert(stats.rounds >= 2 && seen.length == stats.rounds, s"rounds=${stats.rounds} jobs=$seen")
+      seen.zipWithIndex.foreach { case (d, i) =>
+        assert(d.startsWith(s"DistLocalSearch k=$k γ=$gamma round ${i + 1} p="), d)
+      }
+      assert(seen.last.endsWith(s"p=${stats.finalPrefix}"))
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+  }
+
+  test("DistLocalSearch rejects γ < 1 and δ ≤ 1 or NaN like LocalSearch") {
+    for (gamma <- Seq(0, -1))
+      intercept[IllegalArgumentException](DistLocalSearch.topK(store, 1, gamma))
+    for (delta <- Seq(1.0, 0.5, Double.NaN)) {
+      val dist = intercept[IllegalArgumentException](DistLocalSearch.topK(store, 1, 4, delta))
+      val loc = intercept[IllegalArgumentException](LocalSearch.topK(local, 1, 4, delta))
+      assert(dist.getMessage == loc.getMessage, s"δ=$delta")
     }
   }
 
