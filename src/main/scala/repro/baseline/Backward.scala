@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Community, CommunityIndex, CountIC, SearchStats}
+import repro.core.{Community, CommunityIndex, CountIC, LocalSearch, SearchStats}
 import repro.graph.WGraph
 
 /** The Backward local search baseline [Chen et al., CIKM'16].
@@ -15,22 +15,8 @@ object Backward {
 
   /** Top-k communities in decreasing influence order, with work stats. */
   def topK(g: WGraph, k: Int, gamma: Int): (Seq[Community], SearchStats) = {
-    var p = math.min(g.n, k + gamma)
-    var rounds = 0
-    var work = 0L
-    var res = CountIC.run(g, p, gamma)
-    rounds += 1
-    work += g.prefixSize(p)
-    while (res.count < k && p < g.n) {
-      p += 1 // vertex-at-a-time growth: the quadratic-cost signature
-      res = CountIC.run(g, p, gamma)
-      rounds += 1
-      work += g.prefixSize(p)
-    }
-    val idx = new CommunityIndex(g)
-    val from = math.max(0, res.keys.length - k)
-    idx.process(res, p, from)
-    val out = (res.keys.length - 1 to from by -1).map(i => idx.community(res.keys(i)))
-    (out, SearchStats(rounds, p, g.prefixSize(p), work))
+    // Vertex-at-a-time growth: the quadratic-cost signature.
+    val (res, stats) = LocalSearch.search(g, k, gamma, _ + 1)(CountIC.run(g, _, gamma))(_.count)
+    (CommunityIndex.topK(g, res, stats.finalPrefix, k), stats)
   }
 }

@@ -33,15 +33,13 @@ object Forward {
     var count = 0
     var ncCount = 0
     val batch = new IntArrayList()
-    var cursor = g.n - 1
-    while (cursor >= 0) {
-      while (cursor >= 0 && !peeler.alive(cursor)) cursor -= 1
-      if (cursor >= 0) {
-        count += 1
-        batch.clear()
-        peeler.remove(cursor, batch)
-        if (nc && isNcBatch(g, peeler, batch)) ncCount += 1
-      }
+    var u = peeler.nextKeynode()
+    while (u >= 0) {
+      count += 1
+      batch.clear()
+      peeler.remove(u, batch)
+      if (nc && isNcBatch(g, peeler, batch)) ncCount += 1
+      u = peeler.nextKeynode()
     }
     (count, ncCount)
   }
@@ -63,32 +61,17 @@ object Forward {
     peeler.reduceToCore()
     val skip = math.max(0, total - k)
     val out = List.newBuilder[Community]
-    val mark = new Array[Int](g.n)
-    var curMark = 0
     val stack = new IntArrayList()
     var seen = 0
-    var cursor = g.n - 1
-    while (cursor >= 0) {
-      while (cursor >= 0 && !peeler.alive(cursor)) cursor -= 1
-      if (cursor >= 0) {
-        val u = cursor
-        if (seen >= skip) {
-          curMark += 1
-          stack.clear(); stack.add(u); mark(u) = curMark
-          var top = 0
-          while (top < stack.length) {
-            val v = stack(top); top += 1
-            g.foreachNeighborIn(v, g.n) { w =>
-              if (peeler.alive(w) && mark(w) != curMark) { mark(w) = curMark; stack.add(w) }
-            }
-          }
-          val members = stack.toArray.map(g.origId)
-          java.util.Arrays.sort(members)
-          out += Community(g.origId(u), g.weights(u), members)
-        }
-        seen += 1
-        peeler.remove(u, null)
+    var u = peeler.nextKeynode()
+    while (u >= 0) {
+      if (seen >= skip) {
+        peeler.component(u, stack)
+        out += Community.of(g, u, stack.toArray)
       }
+      seen += 1
+      peeler.remove(u, null)
+      u = peeler.nextKeynode()
     }
     out.result().reverse
   }
@@ -100,22 +83,15 @@ object Forward {
     var seenNc = 0
     val out = List.newBuilder[Community]
     val batch = new IntArrayList()
-    var cursor = g.n - 1
-    while (cursor >= 0) {
-      while (cursor >= 0 && !peeler.alive(cursor)) cursor -= 1
-      if (cursor >= 0) {
-        val u = cursor
-        batch.clear()
-        peeler.remove(u, batch)
-        if (isNcBatch(g, peeler, batch)) {
-          if (seenNc >= skip) {
-            val members = batch.toArray.map(g.origId)
-            java.util.Arrays.sort(members)
-            out += Community(g.origId(u), g.weights(u), members)
-          }
-          seenNc += 1
-        }
+    var u = peeler.nextKeynode()
+    while (u >= 0) {
+      batch.clear()
+      peeler.remove(u, batch)
+      if (isNcBatch(g, peeler, batch)) {
+        if (seenNc >= skip) out += Community.of(g, u, batch.toArray)
+        seenNc += 1
       }
+      u = peeler.nextKeynode()
     }
     out.result().reverse
   }

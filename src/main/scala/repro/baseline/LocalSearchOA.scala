@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Community, CommunityIndex, CountIC, SearchStats}
+import repro.core.{Community, CommunityIndex, CountIC, LocalSearch, SearchStats}
 import repro.graph.{Peeler, WGraph}
 import repro.util.IntArrayList
 
@@ -14,54 +14,24 @@ object LocalSearchOA {
 
   /** Top-k communities in decreasing influence order, with stats. */
   def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    var p = math.min(g.n, k + gamma)
-    var rounds = 0
-    var work = 0L
-    var done = false
-    while (!done) {
-      val cnt = countViaComponents(g, p, gamma)
-      rounds += 1
-      work += g.prefixSize(p)
-      if (cnt >= k || p == g.n) done = true
-      else {
-        val target = math.ceil(delta * g.prefixSize(p).toDouble).toLong
-        p = math.min(g.n, math.max(p + 1, g.growTo(target)))
-      }
-    }
+    val (_, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta))(countViaComponents(g, _, gamma))(identity)
     // Final answer via the shared enumeration (identical to LocalSearch).
-    val res = CountIC.run(g, p, gamma)
-    val idx = new CommunityIndex(g)
-    val from = math.max(0, res.keys.length - k)
-    idx.process(res, p, from)
-    val out = (res.keys.length - 1 to from by -1).map(i => idx.community(res.keys(i)))
-    (out, SearchStats(rounds, p, g.prefixSize(p), work))
+    val p = stats.finalPrefix
+    (CommunityIndex.topK(g, CountIC.run(g, p, gamma), p, k), stats)
   }
 
   /** OnlineAll-style counting: per keynode, traverse its whole component. */
   private def countViaComponents(g: WGraph, p: Int, gamma: Int): Int = {
     val peeler = new Peeler(g, p, gamma)
     peeler.reduceToCore()
-    val mark = new Array[Int](p)
-    var curMark = 0
     val stack = new IntArrayList()
     var count = 0
-    var cursor = p - 1
-    while (cursor >= 0) {
-      while (cursor >= 0 && !peeler.alive(cursor)) cursor -= 1
-      if (cursor >= 0) {
-        val u = cursor
-        count += 1
-        curMark += 1
-        stack.clear(); stack.add(u); mark(u) = curMark
-        var top = 0
-        while (top < stack.length) {
-          val v = stack(top); top += 1
-          g.foreachNeighborIn(v, p) { w =>
-            if (peeler.alive(w) && mark(w) != curMark) { mark(w) = curMark; stack.add(w) }
-          }
-        }
-        peeler.remove(u, null)
-      }
+    var u = peeler.nextKeynode()
+    while (u >= 0) {
+      count += 1
+      peeler.component(u, stack)
+      peeler.remove(u, null)
+      u = peeler.nextKeynode()
     }
     count
   }

@@ -28,38 +28,19 @@ object OnlineAll {
 
     val lastK = new mutable.ArrayDeque[(Int, Array[Int])](k + 1)
     var visits = 0L
-    val mark = new Array[Int](n)
-    var curMark = 0
     val stack = new IntArrayList()
 
-    var cursor = n - 1
-    while (cursor >= 0) {
-      while (cursor >= 0 && !peeler.alive(cursor)) cursor -= 1
-      if (cursor >= 0) {
-        val u = cursor
-        // Step 2: BFS/DFS the component of u over alive vertices.
-        curMark += 1
-        stack.clear(); stack.add(u); mark(u) = curMark
-        var top = 0
-        while (top < stack.length) {
-          val v = stack(top); top += 1
-          g.foreachNeighborIn(v, n) { w =>
-            visits += 1
-            if (peeler.alive(w) && mark(w) != curMark) { mark(w) = curMark; stack.add(w) }
-          }
-        }
-        lastK.append((u, stack.toArray))
-        if (lastK.length > k) lastK.removeHead()
-        // Step 3: remove u and restore the γ-core.
-        peeler.remove(u, null)
-      }
+    var u = peeler.nextKeynode()
+    while (u >= 0) {
+      // Step 2: BFS the component of u over alive vertices.
+      visits += peeler.component(u, stack)
+      lastK.append((u, stack.toArray))
+      if (lastK.length > k) lastK.removeHead()
+      // Step 3: remove u and restore the γ-core.
+      peeler.remove(u, null)
+      u = peeler.nextKeynode()
     }
 
-    val out = lastK.toSeq.reverse.map { case (u, ranks) =>
-      val members = ranks.map(g.origId)
-      java.util.Arrays.sort(members)
-      Community(g.origId(u), g.weights(u), members)
-    }
-    (out, visits)
+    (lastK.toSeq.reverse.map { case (u, ranks) => Community.of(g, u, ranks) }, visits)
   }
 }

@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Community, CommunityIndex, CountIC}
+import repro.core.{Community, CommunityIndex, CountIC, LocalSearch}
 import repro.graph.WGraph
 
 /** Semi-external machinery for Eval-VI (disk-resident edges).
@@ -59,30 +59,18 @@ object LocalSearchSE {
   def topK(g: WGraph, store: EdgeStore, k: Int, gamma: Int,
            delta: Double = 2.0): SeResult = {
     val buffered = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    var p = math.min(g.n, k + gamma)
     var loaded = 0
-    var done = false
     var prefix: WGraph = null
-    var res: repro.core.CvsResult = null
-    while (!done) {
+    val (res, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta)) { p =>
       val need = g.prefixEdges(p).toInt
       if (need > loaded) {
         buffered ++= store.readRange(loaded, need)
         loaded = need
       }
       prefix = WGraph.fromRanked(g.weights.take(p), g.origId.take(p), buffered)
-      res = CountIC.run(prefix, p, gamma)
-      if (res.count >= k || p == g.n) done = true
-      else {
-        val target = math.ceil(delta * g.prefixSize(p).toDouble).toLong
-        p = math.min(g.n, math.max(p + 1, g.growTo(target)))
-      }
-    }
-    val idx = new CommunityIndex(prefix)
-    val from = math.max(0, res.keys.length - k)
-    idx.process(res, p, from)
-    val out = (res.keys.length - 1 to from by -1).map(i => idx.community(res.keys(i)))
-    SeResult(out, store.edgesRead, loaded.toLong)
+      CountIC.run(prefix, p, gamma)
+    }(_.count)
+    SeResult(CommunityIndex.topK(prefix, res, stats.finalPrefix, k), store.edgesRead, loaded.toLong)
   }
 }
 

@@ -13,6 +13,16 @@ final case class Community(keyId: Long, influence: Double, members: Array[Long])
     s"Community(key=$keyId, f=$influence, |V|=${members.length})"
 }
 
+object Community {
+
+  /** The community of keynode `key` whose members have the ranks `ranks`. */
+  def of(g: WGraph, key: Int, ranks: Array[Int]): Community = {
+    val members = ranks.map(g.origId)
+    java.util.Arrays.sort(members)
+    Community(g.origId(key), g.weights(key), members)
+  }
+}
+
 /** Algorithm 3 (EnumIC) and its progressive variant EnumIC-P.
   *
   * Keynodes are processed in decreasing weight order. For each keynode u the
@@ -101,16 +111,21 @@ final class CommunityIndex(val g: WGraph) {
     groups(key).length + childKeys(key).map(communitySize).sum)
 
   /** Materialise IC(key) with original ids. */
-  def community(key: Int): Community = {
-    val members = memberRanks(key).map(g.origId)
-    java.util.Arrays.sort(members)
-    Community(g.origId(key), g.weights(key), members)
-  }
+  def community(key: Int): Community = Community.of(g, key, memberRanks(key))
 
   /** The §5.1 non-containment community of an NC keynode: exactly gp(u). */
-  def ncCommunity(key: Int): Community = {
-    val members = groups(key).map(g.origId)
-    java.util.Arrays.sort(members)
-    Community(g.origId(key), g.weights(key), members)
+  def ncCommunity(key: Int): Community = Community.of(g, key, groups(key))
+}
+
+object CommunityIndex {
+
+  /** EnumIC on the last `k` keynodes of `res`, counted over the top-`p`
+    * prefix of `g`: the top-k communities in decreasing influence order.
+    */
+  def topK(g: WGraph, res: CvsResult, p: Int, k: Int): Seq[Community] = {
+    val idx = new CommunityIndex(g)
+    val from = math.max(0, res.keys.length - k)
+    idx.process(res, p, from)
+    (res.keys.length - 1 to from by -1).map(i => idx.community(res.keys(i)))
   }
 }

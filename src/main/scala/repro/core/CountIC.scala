@@ -42,7 +42,7 @@ final case class CvsResult(
   * The peel reduces the prefix to its γ-core, then repeatedly takes the
   * minimum-weight (= maximum-rank) alive vertex as the next keynode and
   * removes it with cascading core maintenance. The "find minimum weight"
-  * step is a monotone cursor over ranks, so the whole run is
+  * step is the monotone cursor [[Peeler.nextKeynode]], so the whole run is
   * O(size(prefix)).
   */
 object CountIC {
@@ -67,28 +67,23 @@ object CountIC {
     val cvs = new IntArrayList()
     val ncFlags = new IntArrayList() // 0/1; converted at the end
 
-    var cursor = p - 1
-    var done = false
-    while (!done) {
-      while (cursor >= 0 && !peeler.alive(cursor)) cursor -= 1
-      if (cursor < 0 || cursor < stopBeforeRank) done = true
-      else {
-        val u = cursor
-        keyPos.add(cvs.length)
-        keys.add(u)
-        val before = cvs.length
-        peeler.remove(u, cvs)
-        if (trackNc) {
-          // NC check: the removed batch must have no surviving neighbour.
-          var isNc = true
-          var i = before
-          while (isNc && i < cvs.length) {
-            g.foreachNeighborIn(cvs(i), p) { w => if (peeler.alive(w)) isNc = false }
-            i += 1
-          }
-          ncFlags.add(if (isNc) 1 else 0)
+    var u = peeler.nextKeynode()
+    while (u >= 0 && u >= stopBeforeRank) {
+      keyPos.add(cvs.length)
+      keys.add(u)
+      val before = cvs.length
+      peeler.remove(u, cvs)
+      if (trackNc) {
+        // NC check: the removed batch must have no surviving neighbour.
+        var isNc = true
+        var i = before
+        while (isNc && i < cvs.length) {
+          g.foreachNeighborIn(cvs(i), p) { w => if (peeler.alive(w)) isNc = false }
+          i += 1
         }
+        ncFlags.add(if (isNc) 1 else 0)
       }
+      u = peeler.nextKeynode()
     }
     CvsResult(keys.toArray, keyPos.toArray, cvs.toArray,
               ncFlags.toArray.map(_ == 1))

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.WGraph
+import repro.graph.{PrefixSizes, WGraph}
 
 /** Execution statistics for the analysis of §3.3 and the benches.
   *
@@ -19,20 +19,16 @@ final case class SearchStats(rounds: Int, finalPrefix: Int,
   * γ+1 members, so k communities span ≥ k+γ distinct vertices), counts
   * communities with [[CountIC]], and grows the prefix by the ratio δ (line 4)
   * until it contains ≥ k communities or equals G; the answer is then
-  * enumerated from the final prefix with [[CommunityIndex]] (EnumIC).
+  * enumerated from the final prefix with [[CommunityIndex]] (EnumIC). The
+  * loop itself is [[LocalSearch.search]], which every local search of the
+  * reproduction runs with its own counter, prefix source or growth step.
   */
 object LocalSearch {
 
   /** Top-k influential γ-communities in decreasing influence order. */
   def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    require(k >= 1, "k must be positive")
-    require(delta > 1.0, "growth ratio must exceed 1")
-    val (res, p, stats) = searchPrefix(g, k, gamma, delta, nonContainment = false)
-    val idx = new CommunityIndex(g)
-    val from = math.max(0, res.keys.length - k)
-    idx.process(res, p, from)
-    val out = (res.keys.length - 1 to from by -1).map(i => idx.community(res.keys(i)))
-    (out, stats)
+    val (res, stats) = search(g, k, gamma, g.deltaStep(delta))(CountIC.run(g, _, gamma))(_.count)
+    (CommunityIndex.topK(g, res, stats.finalPrefix, k), stats)
   }
 
   /** Top-k *non-containment* influential γ-communities (§5.1). The community
@@ -40,36 +36,39 @@ object LocalSearch {
     */
   def topKNonContainment(g: WGraph, k: Int, gamma: Int,
                          delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    require(k >= 1, "k must be positive")
-    val (res, _, stats) = searchPrefix(g, k, gamma, delta, nonContainment = true)
+    val (res, stats) =
+      search(g, k, gamma, g.deltaStep(delta))(CountIC.run(g, _, gamma, trackNc = true))(_.ncCount)
     val ncIdx = res.keys.indices.filter(res.nc(_))
-    val out = ncIdx.takeRight(k).reverse.map { i =>
-      val members = res.group(i).map(g.origId)
-      java.util.Arrays.sort(members)
-      Community(g.origId(res.keys(i)), g.weights(res.keys(i)), members)
-    }
-    (out, stats)
+    (ncIdx.takeRight(k).reverse.map(i => Community.of(g, res.keys(i), res.group(i))), stats)
   }
 
-  /** The shared search loop: returns the final CvsResult, prefix, stats. */
-  private def searchPrefix(g: WGraph, k: Int, gamma: Int, delta: Double,
-                           nonContainment: Boolean): (CvsResult, Int, SearchStats) = {
-    var p = math.min(g.n, k + gamma)
-    var rounds = 0
-    var work = 0L
-    var res: CvsResult = null
-    var done = false
-    while (!done) {
-      res = CountIC.run(g, p, gamma, trackNc = nonContainment)
+  /** The search framework of Alg. 1 and Alg. 6, shared by every local search.
+    *
+    * Counts on the `k + γ` prefix, then grows the prefix with `step` and
+    * counts again until `found` reports at least k communities or the prefix
+    * is the whole graph. The caller enumerates the answer from the returned
+    * last count over `stats.finalPrefix` ranks.
+    *
+    * @param sizes prefix sizes of the searched graph (the work statistics)
+    * @param step  next prefix length after `p`, with `p < step(p) ≤ n`: the
+    *              δ-growth of [[PrefixSizes.deltaStep]], or `_ + 1` for Backward
+    * @param count the counter of one round, run on the top-`p` prefix
+    * @param found the number of communities a count found
+    */
+  private[repro] def search[R](sizes: PrefixSizes, k: Int, gamma: Int, step: Int => Int)
+                             (count: Int => R)(found: R => Int): (R, SearchStats) = {
+    require(k >= 1, "k must be positive")
+    require(gamma >= 1, "gamma must be positive")
+    var p = math.min(sizes.n.toLong, k.toLong + gamma).toInt // k + γ overflows Int
+    var res = count(p)
+    var rounds = 1
+    var work = sizes.prefixSize(p)
+    while (found(res) < k && p < sizes.n) {
+      p = step(p)
+      res = count(p)
       rounds += 1
-      work += g.prefixSize(p)
-      val cnt = if (nonContainment) res.ncCount else res.count
-      if (cnt >= k || p == g.n) done = true
-      else {
-        val target = math.ceil(delta * g.prefixSize(p).toDouble).toLong
-        p = math.min(g.n, math.max(p + 1, g.growTo(target)))
-      }
+      work += sizes.prefixSize(p)
     }
-    (res, p, SearchStats(rounds, p, g.prefixSize(p), work))
+    (res, SearchStats(rounds, p, sizes.prefixSize(p), work))
   }
 }

@@ -37,6 +37,8 @@ object LocalSearchP {
     */
   def iterator(g: WGraph, gamma: Int, delta: Double = 2.0,
                ncOnly: Boolean = false): Iterator[Reported] = new Iterator[Reported] {
+    require(gamma >= 1, "gamma must be positive")
+    private val step = g.deltaStep(delta)
     private val index = new CommunityIndex(g)
     private var p = math.min(g.n, 1 + gamma) // τ1: one community needs γ+1 vertices
     private var prevP = 0
@@ -57,8 +59,7 @@ object LocalSearchP {
         if (p == g.n) exhausted = true
         else {
           prevP = p
-          p = math.min(g.n, math.max(p + 1,
-            g.growTo(math.ceil(delta * g.prefixSize(p).toDouble).toLong)))
+          p = step(p)
         }
       }
     }
@@ -71,6 +72,8 @@ object LocalSearchP {
     * functionally equivalent to LocalSearch.topK (used by benches/tests).
     */
   def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0,
-           ncOnly: Boolean = false): Seq[Community] =
+           ncOnly: Boolean = false): Seq[Community] = {
+    require(k >= 1, "k must be positive")
     iterator(g, gamma, delta, ncOnly).take(k).map(_.materialise()).toSeq
+  }
 }

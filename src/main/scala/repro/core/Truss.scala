@@ -205,29 +205,15 @@ object Truss {
       val u = res.keys(idx)
       val vs = new mutable.HashSet[Int]()
       edgesOf(u).foreach { e => vs += res.eA(e); vs += res.eB(e) }
-      val members = vs.toArray.map(g.origId)
-      java.util.Arrays.sort(members)
-      Community(g.origId(u), g.weights(u), members)
+      Community.of(g, u, vs.toArray)
     }
   }
 
   /** Alg. 6 instantiated for γ-truss: LocalSearch-Truss. */
   def localSearchTopK(g: WGraph, k: Int, gamma: Int,
                       delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    var p = math.min(g.n, k + gamma)
-    var rounds = 0
-    var work = 0L
-    var res = Truss.countICC(g, p, gamma)
-    rounds += 1
-    work += g.prefixSize(p)
-    while (res.count < k && p < g.n) {
-      val target = math.ceil(delta * g.prefixSize(p).toDouble).toLong
-      p = math.min(g.n, math.max(p + 1, g.growTo(target)))
-      res = Truss.countICC(g, p, gamma)
-      rounds += 1
-      work += g.prefixSize(p)
-    }
-    (enumICC(g, p, res, k), SearchStats(rounds, p, g.prefixSize(p), work))
+    val (res, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta))(countICC(g, _, gamma))(_.count)
+    (enumICC(g, stats.finalPrefix, res, k), stats)
   }
 
   /** Eval-VIII's GlobalSearch-Truss: CountICC on the whole graph + EnumICC. */

@@ -14,16 +14,38 @@ import repro.util.{IntArrayList, IntQueue}
   */
 final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
 
+  // Primitive fills: a Peeler is built every round, and the generic
+  // Array.fill/tabulate can be compiled into a much slower form.
+
   /** Liveness by rank (`< p`). */
-  val alive: Array[Boolean] = Array.fill(p)(true)
+  val alive: Array[Boolean] = new Array[Boolean](p)
+  java.util.Arrays.fill(alive, true)
 
   /** Current degree within the alive prefix subgraph. */
-  val deg: Array[Int] = Array.tabulate(p)(u => g.degIn(u, p))
+  val deg: Array[Int] = {
+    val d = new Array[Int](p)
+    var u = 0
+    while (u < p) { d(u) = g.degIn(u, p); u += 1 }
+    d
+  }
 
   /** Number of currently alive vertices. */
   var aliveCount: Int = p
 
   private val queue = new IntQueue(p)
+
+  /** Every rank above `cursor` is dead; [[nextKeynode]] moves it down. */
+  private var cursor = p - 1
+
+  /** The minimum-weight alive vertex (the largest alive rank), or −1 when no
+    * vertex is alive: the next keynode of Alg. 2. Vertices never revive, so
+    * the scan resumes where the last call stopped and a whole peel visits
+    * each rank once.
+    */
+  def nextKeynode(): Int = {
+    while (cursor >= 0 && !alive(cursor)) cursor -= 1
+    cursor
+  }
 
   /** Reduce to the γ-core (Alg. 2 line 1). Removed vertices are *not*
     * recorded in cvs, per the paper (only `Remove` appends to cvs).
@@ -43,6 +65,28 @@ final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
   def remove(u: Int, cvs: IntArrayList): Unit = {
     queue.push(u)
     drain(cvs)
+  }
+
+  private lazy val mark = new Array[Int](p)
+  private var curMark = 0
+
+  /** Replace the contents of `out` with the connected component of alive
+    * vertex `u` over alive vertices (the OnlineAll traversal). Returns the
+    * number of neighbour visits made, OnlineAll's work metric.
+    */
+  def component(u: Int, out: IntArrayList): Long = {
+    curMark += 1
+    out.clear(); out.add(u); mark(u) = curMark
+    var visits = 0L
+    var top = 0
+    while (top < out.length) {
+      g.foreachNeighborIn(out(top), p) { w =>
+        visits += 1
+        if (alive(w) && mark(w) != curMark) { mark(w) = curMark; out.add(w) }
+      }
+      top += 1
+    }
+    visits
   }
 
   private def drain(cvs: IntArrayList): Unit = {

@@ -32,7 +32,7 @@ final class WGraph private[graph] (
     val adjHi: Array[Array[Int]],
     /** Lower-weight neighbours (rank > u), ascending. */
     val adjLo: Array[Array[Int]],
-) {
+) extends PrefixSizes {
 
   /** `cumSize(p)` = size (|V|+|E|) of the prefix subgraph on ranks `< p`. */
   val cumSize: Array[Long] = {
@@ -53,21 +53,6 @@ final class WGraph private[graph] (
 
   /** Number of edges inside the top-`p` prefix. */
   def prefixEdges(p: Int): Long = cumSize(p) - p
-
-  /** Smallest prefix length whose size is ≥ `target`, capped at n.
-    *
-    * Implements line 4 of Alg. 1: grow `G≥τ` until `size ≥ δ·size(prev)`;
-    * `cumSize` is strictly increasing so binary search applies.
-    */
-  def growTo(target: Long): Int = {
-    var lo = 0
-    var hi = n
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (cumSize(mid) >= target) hi = mid else lo = mid + 1
-    }
-    lo
-  }
 
   /** Degree of rank `u` within the top-`p` prefix (requires `u < p`). */
   def degIn(u: Int, p: Int): Int = adjHi(u).length + countBelow(adjLo(u), p)

@@ -1,6 +1,6 @@
 package repro.spark
 
-import repro.core.{Community, CommunityIndex, CountIC, CvsResult, SearchStats}
+import repro.core.{Community, CommunityIndex, CountIC, LocalSearch, SearchStats}
 import repro.graph.WGraph
 
 /** Distributed LocalSearch: the paper's Alg. 1 with Spark as the graph
@@ -25,39 +25,21 @@ object DistLocalSearch {
   /** Top-k influential γ-communities in decreasing influence order. */
   def topK(store: SparkGraphStore, k: Int, gamma: Int,
            delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    require(k >= 1, "k must be positive")
-    require(gamma >= 1, "gamma must be positive")
-    require(delta > 1.0, "growth ratio must exceed 1")
+    val step = store.deltaStep(delta)
     val sc = store.spark.sparkContext
     val callerDescription = sc.getLocalProperty("spark.job.description")
-    var p = math.min(store.n, k + gamma)
     var fetched = 0
     var edges = Array.emptyLongArray
     var rounds = 0
-    var work = 0L
-    var done = false
     var prefix: WGraph = null
-    var res: CvsResult = null
-    try {
-      while (!done) {
-        rounds += 1
-        sc.setJobDescription(s"DistLocalSearch k=$k γ=$gamma round $rounds p=$p")
-        edges ++= store.fetchEdges(fetched, p)
-        fetched = p
-        prefix = store.prefixGraph(p, edges)
-        res = CountIC.run(prefix, p, gamma)
-        work += store.prefixSize(p)
-        if (res.count >= k || p == store.n) done = true
-        else {
-          val target = math.ceil(delta * store.prefixSize(p).toDouble).toLong
-          p = math.min(store.n, math.max(p + 1, store.growTo(target)))
-        }
-      }
-    } finally sc.setJobDescription(callerDescription)
-    val idx = new CommunityIndex(prefix)
-    val from = math.max(0, res.keys.length - k)
-    idx.process(res, p, from)
-    val out = (res.keys.length - 1 to from by -1).map(i => idx.community(res.keys(i)))
-    (out, SearchStats(rounds, p, store.prefixSize(p), work))
+    val (res, stats) = try LocalSearch.search(store, k, gamma, step) { p =>
+      rounds += 1
+      sc.setJobDescription(s"DistLocalSearch k=$k γ=$gamma round $rounds p=$p")
+      edges ++= store.fetchEdges(fetched, p)
+      fetched = p
+      prefix = store.prefixGraph(p, edges)
+      CountIC.run(prefix, p, gamma)
+    }(_.count) finally sc.setJobDescription(callerDescription)
+    (CommunityIndex.topK(prefix, res, stats.finalPrefix, k), stats)
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.graph.WGraph
+import repro.graph.{PrefixSizes, WGraph}
 
 /** The graph data management system of the reproduction: the paper's
   * semi-external layout (§3.1 Remark) with Spark holding the edges.
@@ -31,7 +31,7 @@ final class SparkGraphStore private (
     packed: RDD[Array[Long]],
     /** cumEdges(p) = number of edges with maxRank < p (length n+1). */
     val cumEdges: Array[Long],
-) {
+) extends PrefixSizes {
 
   /** Number of vertices. */
   val n: Int = ids.length
@@ -41,17 +41,6 @@ final class SparkGraphStore private (
 
   /** Total graph size. */
   def size: Long = prefixSize(n)
-
-  /** Smallest prefix with size ≥ target (mirror of WGraph.growTo). */
-  def growTo(target: Long): Int = {
-    var lo = 0
-    var hi = n
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (mid + cumEdges(mid) >= target) hi = mid else lo = mid + 1
-    }
-    lo
-  }
 
   /** The edges whose maxRank lies in `[from, until)`, packed as
     * `maxRank << 32 | minRank`, fetched by one Spark job.

@@ -14,8 +14,12 @@ package repro.util
   * on for its O(size(g)) bound.
   */
 final class DisjointSet(n: Int) {
-  /** parent(v) = -1 means unassigned; parent(root) == root. */
-  private val parent = Array.fill(n)(-1)
+  /** parent(v) = -1 means unassigned; parent(root) == root. A primitive
+    * fill: one set is built per query, and the generic `Array.fill` can be
+    * compiled into a much slower form.
+    */
+  private val parent = new Array[Int](n)
+  java.util.Arrays.fill(parent, -1)
 
   def assigned(v: Int): Boolean = parent(v) != -1
 

@@ -137,4 +137,32 @@ class GraphOpsSpec extends AnyFunSuite {
     val comp = GraphOps.components(g, Array(0, 1), g.n)
     assert(comp(g.rankOf(11L)) == -1)
   }
+
+  test("nextKeynode returns the largest alive rank, then -1 once none is alive") {
+    val g = Fixtures.paperLike
+    val peeler = new Peeler(g, g.n, 3)
+    peeler.reduceToCore()
+    val keys = new IntArrayList()
+    var u = peeler.nextKeynode()
+    while (u >= 0) {
+      assert(u == (0 until g.n).filter(peeler.alive(_)).max)
+      keys.add(u)
+      peeler.remove(u, null)
+      u = peeler.nextKeynode()
+    }
+    assert(peeler.aliveCount == 0)
+    assert(keys.toArray.map(g.weights(_)).toSeq == Fixtures.paperLikeTop.map(_._1).reverse)
+  }
+
+  test("component collects the alive component of a vertex") {
+    val g = Fixtures.paperLike
+    val peeler = new Peeler(g, g.n, 3)
+    peeler.reduceToCore()
+    val out = new IntArrayList()
+    peeler.component(g.rankOf(0L), out)
+    assert(out.toArray.map(g.origId).toSet == (0L to 10L).toSet) // the pendant 11 is peeled
+    peeler.remove(g.rankOf(10L), null) // the bridge: the cliques fall apart
+    peeler.component(g.rankOf(0L), out)
+    assert(out.toArray.map(g.origId).toSet == (0L to 4L).toSet)
+  }
 }

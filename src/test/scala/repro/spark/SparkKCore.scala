@@ -7,8 +7,7 @@ import org.apache.spark.sql.DataFrame
   *
   * Each round computes vertex degrees with an aggregation and drops every
   * edge incident to a vertex of degree < γ with anti-joins, until a
-  * fixpoint. Used as the distributed validation path for the local peeler
-  * and in the Table-1 statistics pipeline.
+  * fixpoint. A distributed cross-check of the local peeler.
   */
 object SparkKCore {
 

@@ -6,6 +6,7 @@ import repro.{Oracle, SparkSpec}
 import repro.core.LocalSearch
 import repro.gen.GraphGen
 import repro.graph.GraphOps
+import repro.ref.Naive
 
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
@@ -253,6 +254,13 @@ class SparkLayerSpec extends SparkSpec {
       val loc = intercept[IllegalArgumentException](LocalSearch.topK(local, 1, 4, delta))
       assert(dist.getMessage == loc.getMessage, s"δ=$delta")
     }
+  }
+
+  test("DistLocalSearch with k = Int.MaxValue returns every community") {
+    val (all, stats) = DistLocalSearch.topK(store, Int.MaxValue, 4)
+    assert(all.map(c => (c.influence, c.members.toSet)) ==
+           Naive.topK(local, Int.MaxValue, 4).map(c => (c.influence, c.members.toSet)))
+    assert(stats.rounds == 1 && stats.finalPrefix == store.n)
   }
 
   test("DistLocalSearch accesses a strict subgraph on a local query") {
