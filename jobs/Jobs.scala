@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 /** Shared SparkSession bootstrap for the spark-submit entrypoints. */
 object JobSession {
-  def apply(name: String): SparkSession = SparkSession.builder
+  def apply(name: String): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName(name)
     .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

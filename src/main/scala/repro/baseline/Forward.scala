@@ -17,7 +17,7 @@ object Forward {
   /** Top-k communities in decreasing influence order. */
   def topK(g: WGraph, k: Int, gamma: Int): Seq[Community] = {
     val total = countKeynodes(g, gamma, nc = false)._1
-    secondPass(g, k, gamma, total, nc = false)
+    secondPass(g, k, gamma, total)
   }
 
   /** §5.1 variant: top-k non-containment communities (Eval-VII's Forward). */
@@ -55,8 +55,7 @@ object Forward {
   }
 
   /** Pass 2: skip the first total−k keynodes, then compute components. */
-  private def secondPass(g: WGraph, k: Int, gamma: Int, total: Int,
-                         nc: Boolean): Seq[Community] = {
+  private def secondPass(g: WGraph, k: Int, gamma: Int, total: Int): Seq[Community] = {
     val peeler = new Peeler(g, g.n, gamma)
     peeler.reduceToCore()
     val skip = math.max(0, total - k)

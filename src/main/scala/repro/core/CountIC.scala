@@ -3,6 +3,24 @@ package repro.core
 import repro.graph.{Peeler, WGraph}
 import repro.util.IntArrayList
 
+/** Keynodes of one peel with their groups, in removal order: the group of
+  * `keys(i)` is `cvs[keyPos(i), groupEnd(i))`.
+  */
+trait KeyedCvs {
+  def keys: Array[Int]
+  def keyPos: Array[Int]
+  def cvs: Array[Int]
+
+  /** Number of communities found (Lemma 3.4: = #keynodes). */
+  def count: Int = keys.length
+
+  /** End of the i-th key's group in `cvs`. */
+  def groupEnd(i: Int): Int = if (i + 1 < keys.length) keyPos(i + 1) else cvs.length
+
+  /** Group of the i-th key, copied out of `cvs`. */
+  def group(i: Int): Array[Int] = java.util.Arrays.copyOfRange(cvs, keyPos(i), groupEnd(i))
+}
+
 /** Output of CountIC / ConstructCVS over one prefix.
   *
   * @param keys   keynode ranks in removal order, i.e. **increasing weight**
@@ -19,21 +37,9 @@ final case class CvsResult(
     keyPos: Array[Int],
     cvs: Array[Int],
     nc: Array[Boolean],
-) {
-  /** Number of influential γ-communities found (Lemma 3.4: = #keynodes). */
-  def count: Int = keys.length
-
+) extends KeyedCvs {
   /** Number of non-containment communities found. */
   def ncCount: Int = nc.count(identity)
-
-  /** Group of the i-th key: `gp(keys(i))`. */
-  def group(i: Int): Array[Int] = {
-    val from = keyPos(i)
-    val until = if (i + 1 < keys.length) keyPos(i + 1) else cvs.length
-    val out = new Array[Int](until - from)
-    System.arraycopy(cvs, from, out, 0, until - from)
-    out
-  }
 }
 
 /** Algorithm 2 (CountIC) and its progressive variant Algorithm 5

@@ -17,9 +17,9 @@ import scala.collection.mutable
 object LocalSearchP {
 
   /** One progressively reported community. `materialise()` builds the full
-    * member list on demand (the index memoises, so shared sub-communities are
-    * expanded at most once); `size` walks the community forest without
-    * copying, matching the paper's link-not-copy reporting.
+    * member list on demand by walking the community's subtree of the forest;
+    * `size` is read from the forest without copying, matching the paper's
+    * link-not-copy reporting.
     */
   final class Reported(index: CommunityIndex, val keyRank: Int, val nonContainment: Boolean,
                        private val ncOnly: Boolean) {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.WGraph
-import repro.util.{DisjointSet, IntArrayList, IntQueue}
+import repro.util.{IntArrayList, IntQueue}
 
 import scala.collection.mutable
 
@@ -122,16 +122,7 @@ final class TrussPeeler(val g: WGraph, val p: Int, val gamma: Int) {
 
 /** Result of CountICC: keynodes plus the community-aware *edge* sequence. */
 final case class TrussCvs(keys: Array[Int], keyPos: Array[Int], cvs: Array[Int],
-                          eA: Array[Int], eB: Array[Int]) {
-  def count: Int = keys.length
-  def group(i: Int): Array[Int] = {
-    val from = keyPos(i)
-    val until = if (i + 1 < keys.length) keyPos(i + 1) else cvs.length
-    val out = new Array[Int](until - from)
-    System.arraycopy(cvs, from, out, 0, until - from)
-    out
-  }
-}
+                          eA: Array[Int], eB: Array[Int]) extends KeyedCvs
 
 /** Algorithms 6–7: influential γ-truss community search (§5.2 case study). */
 object Truss {
@@ -155,59 +146,13 @@ object Truss {
     TrussCvs(keys.toArray, keyPos.toArray, cvs.toArray, peeler.eA, peeler.eB)
   }
 
-  /** EnumICC: materialise the communities of the last `k` keynodes from the
-    * edge cvs, linking sub-communities via a disjoint-set over vertices (the
-    * edge groups of nested communities are disjoint; vertex sets are deduped
-    * at materialisation).
+  /** EnumICC: the communities of the last `k` keynodes of `res`, counted
+    * over the top-`p` prefix, from the community forest of EnumIC over edge
+    * groups. Each vertex is claimed by the first key whose edges reach it,
+    * so a community's members need no dedup.
     */
-  def enumICC(g: WGraph, p: Int, res: TrussCvs, k: Int): Seq[Community] = {
-    val ds = new DisjointSet(p)
-    val groups = new mutable.HashMap[Int, Array[Int]]
-    val childKeys = new mutable.HashMap[Int, Array[Int]]
-    val from = math.max(0, res.keys.length - k)
-    var i = res.keys.length - 1
-    while (i >= from) {
-      val u = res.keys(i)
-      val gp = res.group(i)
-      ds.makeRoot(u)
-      val ch = new IntArrayList()
-      var j = 0
-      while (j < gp.length) {
-        val e = gp(j)
-        var side = 0
-        while (side < 2) {
-          val z = if (side == 0) res.eA(e) else res.eB(e)
-          if (!ds.assigned(z)) ds.assign(z, u)
-          else {
-            val r = ds.find(z)
-            if (r != u) { ch.add(r); ds.unionInto(r, u) }
-          }
-          side += 1
-        }
-        j += 1
-      }
-      groups(u) = gp
-      childKeys(u) = ch.toArray
-      i -= 1
-    }
-    // Materialise: edge groups of a community's forest are disjoint.
-    val edgeMemo = new mutable.HashMap[Int, Array[Int]]
-    def edgesOf(u: Int): Array[Int] = edgeMemo.getOrElseUpdate(u, {
-      val parts = childKeys(u).map(edgesOf)
-      val total = groups(u).length + parts.map(_.length).sum
-      val out = new Array[Int](total)
-      System.arraycopy(groups(u), 0, out, 0, groups(u).length)
-      var off = groups(u).length
-      parts.foreach { part => System.arraycopy(part, 0, out, off, part.length); off += part.length }
-      out
-    })
-    (res.keys.length - 1 to from by -1).map { idx =>
-      val u = res.keys(idx)
-      val vs = new mutable.HashSet[Int]()
-      edgesOf(u).foreach { e => vs += res.eA(e); vs += res.eB(e) }
-      Community.of(g, u, vs.toArray)
-    }
-  }
+  def enumICC(g: WGraph, p: Int, res: TrussCvs, k: Int): Seq[Community] =
+    CommunityIndex.lastK(g, res, k)(_.processEdges(res, _))
 
   /** Alg. 6 instantiated for γ-truss: LocalSearch-Truss. */
   def localSearchTopK(g: WGraph, k: Int, gamma: Int,

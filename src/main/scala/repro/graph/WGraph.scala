@@ -90,30 +90,47 @@ object WGraph {
 
   /** Build from `(id, weight)` pairs and an undirected edge list over external
     * ids. Self-loops are dropped and parallel edges deduplicated; weight ties
-    * are broken by ascending id so the rank order is total.
+    * are broken by ascending id so the rank order is total. Rejects NaN
+    * weights, duplicate ids and edges with an endpoint missing from the
+    * weights.
     */
   def apply(weightsById: Seq[(Long, Double)], edges: Iterable[(Long, Long)]): WGraph = {
+    weightsById.find(_._2.isNaN).foreach { case (id, _) =>
+      throw new IllegalArgumentException(s"vertex $id has a NaN weight")
+    }
     val sorted = weightsById.toArray.sortBy { case (id, w) => (-w, id) }
     val n = sorted.length
     val origId = sorted.map(_._1)
     val weights = sorted.map(_._2)
     val rank = new mutable.LongMap[Int](n * 2)
     var r = 0
-    while (r < n) { rank(origId(r)) = r; r += 1 }
+    while (r < n) {
+      if (rank.contains(origId(r)))
+        throw new IllegalArgumentException(s"vertex id ${origId(r)} appears twice in the weight table")
+      rank(origId(r)) = r
+      r += 1
+    }
 
-    val seen = new mutable.HashSet[Long]()
-    val pairs = new mutable.ArrayBuffer[(Int, Int)](edges.size)
+    // Packed `lo << 32 | hi`, sorted, so parallel edges become neighbours.
+    val packed = new Array[Long](edges.size)
+    var m = 0
     for ((a, b) <- edges if a != b) {
       (rank.get(a), rank.get(b)) match {
         case (Some(ra), Some(rb)) =>
-          val lo = math.min(ra, rb); val hi = math.max(ra, rb)
-          val key = (lo.toLong << 32) | hi.toLong
-          if (seen.add(key)) pairs += ((lo, hi))
+          packed(m) = math.min(ra, rb).toLong << 32 | math.max(ra, rb)
+          m += 1
         case _ =>
           throw new IllegalArgumentException(s"edge ($a,$b) references unknown vertex")
       }
     }
-    fromRankedPairs(n, weights, origId, pairs)
+    java.util.Arrays.sort(packed, 0, m)
+    var unique = 0
+    var i = 0
+    while (i < m) {
+      if (unique == 0 || packed(unique - 1) != packed(i)) { packed(unique) = packed(i); unique += 1 }
+      i += 1
+    }
+    fromPacked(n, weights, origId, packed, unique)
   }
 
   /** Build when ranks and weights are already assigned (e.g. collected from
@@ -123,26 +140,35 @@ object WGraph {
     */
   def fromRanked(weights: Array[Double], origId: Array[Long],
                  pairs: Iterable[(Int, Int)]): WGraph = {
-    val n = weights.length
-    val buf = new mutable.ArrayBuffer[(Int, Int)](pairs.size)
+    val packed = new Array[Long](pairs.size)
+    var m = 0
     for ((a, b) <- pairs if a != b) {
-      buf += ((math.min(a, b), math.max(a, b)))
+      packed(m) = math.min(a, b).toLong << 32 | math.max(a, b)
+      m += 1
     }
-    fromRankedPairs(n, weights, origId, buf)
+    fromPacked(weights.length, weights, origId, packed, m)
   }
 
-  private def fromRankedPairs(n: Int, weights: Array[Double], origId: Array[Long],
-                              pairs: mutable.ArrayBuffer[(Int, Int)]): WGraph = {
+  /** Build from the distinct edges `packed[0, m)`, each `lo << 32 | hi` with
+    * ranks `lo < hi < n`, in any order.
+    */
+  private def fromPacked(n: Int, weights: Array[Double], origId: Array[Long],
+                         packed: Array[Long], m: Int): WGraph = {
     val hiCnt = new Array[Int](n) // |adjHi(u)| where u is the larger rank
     val loCnt = new Array[Int](n)
-    for ((lo, hi) <- pairs) { hiCnt(hi) += 1; loCnt(lo) += 1 }
+    var i = 0
+    while (i < m) { hiCnt(packed(i).toInt) += 1; loCnt((packed(i) >>> 32).toInt) += 1; i += 1 }
     val adjHi = Array.tabulate(n)(u => new Array[Int](hiCnt(u)))
     val adjLo = Array.tabulate(n)(u => new Array[Int](loCnt(u)))
     java.util.Arrays.fill(hiCnt, 0)
     java.util.Arrays.fill(loCnt, 0)
-    for ((lo, hi) <- pairs) {
+    i = 0
+    while (i < m) {
+      val lo = (packed(i) >>> 32).toInt
+      val hi = packed(i).toInt
       adjHi(hi)(hiCnt(hi)) = lo; hiCnt(hi) += 1
       adjLo(lo)(loCnt(lo)) = hi; loCnt(lo) += 1
+      i += 1
     }
     var u = 0
     while (u < n) {

@@ -1,6 +1,6 @@
 package repro.util
 
-/** Disjoint-set (union-find) over `0 until n` with lazy membership.
+/** Disjoint-set (union-find) over the non-negative ints, with lazy membership.
   *
   * This is the `v2key` structure of Algorithm 3 (EnumIC): elements start
   * *unassigned* (`v2key(v) = null` in the paper); `assign(v, intoRoot)` makes
@@ -10,24 +10,39 @@ package repro.util
   * `newRoot` — this is how EnumIC re-labels a higher-weight community as part
   * of the currently processed (lower-weight) one.
   *
+  * The parent array starts at `initialCapacity` and doubles whenever
+  * `makeRoot` or `assign` reaches past it, so it is sized to the largest
+  * element ever assigned, not to the universe: EnumIC over a prefix costs
+  * O(prefix) however large the graph is. Every element past the array is
+  * unassigned.
+  *
   * `find` uses path halving, giving the constant amortised cost Alg. 3 relies
   * on for its O(size(g)) bound.
   */
-final class DisjointSet(n: Int) {
-  /** parent(v) = -1 means unassigned; parent(root) == root. A primitive
-    * fill: one set is built per query, and the generic `Array.fill` can be
-    * compiled into a much slower form.
-    */
-  private val parent = new Array[Int](n)
+final class DisjointSet(initialCapacity: Int = 16) {
+  /** parent(v) = -1 means unassigned; parent(root) == root. */
+  private var parent = new Array[Int](initialCapacity)
   java.util.Arrays.fill(parent, -1)
 
-  def assigned(v: Int): Boolean = parent(v) != -1
+  /** Number of elements the parent array holds now. */
+  def capacity: Int = parent.length
+
+  private def ensure(v: Int): Unit = if (v >= parent.length) {
+    val old = parent.length
+    parent = java.util.Arrays.copyOf(parent, math.max(v + 1, 2 * old))
+    java.util.Arrays.fill(parent, old, parent.length, -1)
+  }
+
+  def assigned(v: Int): Boolean = v < parent.length && parent(v) != -1
 
   /** Make `root` a singleton root if unassigned (idempotent). */
-  def makeRoot(root: Int): Unit = if (parent(root) == -1) parent(root) = root
+  def makeRoot(root: Int): Unit = {
+    ensure(root)
+    if (parent(root) == -1) parent(root) = root
+  }
 
   /** Put unassigned `v` directly into the set rooted at `root`. */
-  def assign(v: Int, root: Int): Unit = parent(v) = root
+  def assign(v: Int, root: Int): Unit = { ensure(v); parent(v) = root }
 
   /** Representative of v's set; v must be assigned. */
   def find(v: Int): Int = {

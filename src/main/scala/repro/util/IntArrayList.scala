@@ -29,12 +29,19 @@ final class IntArrayList(initialCapacity: Int = 16) {
     len += 1
   }
 
+  /** Remove and return the last element (the buffer must be non-empty). */
+  def pop(): Int = { len -= 1; arr(len) }
+
   /** Copy out `[from, until)` as a fresh array. */
   def slice(from: Int, until: Int): Array[Int] = {
     val out = new Array[Int](until - from)
-    System.arraycopy(arr, from, out, 0, until - from)
+    copyTo(from, until, out, 0)
     out
   }
+
+  /** Copy `[from, until)` into `dst` starting at `at`. */
+  def copyTo(from: Int, until: Int, dst: Array[Int], at: Int): Unit =
+    System.arraycopy(arr, from, dst, at, until - from)
 
   /** Copy out the whole buffer as a fresh array. */
   def toArray: Array[Int] = slice(0, len)

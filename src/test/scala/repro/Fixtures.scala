@@ -69,4 +69,14 @@ object Fixtures {
     (0L to 5L).map(i => i -> (10.0 - i)),
     (1L to 5L).map(i => (0L, i)),
   )
+
+  /** A nested chain: vertex v (weight n − v) is linked to its `back`
+    * predecessors, so for γ ≤ `back` every vertex from rank γ on is a keynode
+    * whose community holds all higher-weight vertices: a forest of depth
+    * about n.
+    */
+  def nestedChain(n: Int, back: Int): WGraph = WGraph(
+    (0L until n.toLong).map(v => v -> (n - v).toDouble),
+    for (v <- 1L until n.toLong; d <- 1L to back.toLong if v >= d) yield (v - d, v),
+  )
 }

@@ -59,6 +59,16 @@ class LocalSearchPSpec extends AnyFunSuite {
       assert(asPairs(all) == asPairs(expectedAll))
     }
 
+  test("a 200,000-deep nested chain: size and materialise return the whole chain") {
+    val n = 200000
+    val g = Fixtures.nestedChain(n, 2)
+    val reported = LocalSearchP.iterator(g, 2).toVector
+    assert(reported.length == n - 2)
+    val last = reported.last
+    assert(last.size == n)
+    assert(last.materialise().members.toSeq == (0L until n.toLong))
+  }
+
   for (delta <- Seq(1.5, 4.0, 32.0))
     test(s"progressive output independent of delta ($delta)") {
       val g = GraphGen.localPowerLaw(80, 5, 21)

@@ -121,4 +121,28 @@ class WGraphSpec extends AnyFunSuite {
     val h = GraphGen.localRandom(80, 3.0, 9)
     assert(h.weights.distinct.length == h.n)
   }
+
+  test("an id-local 60,000-edge graph builds in under a second") {
+    // Each vertex linked to its 3 predecessors: 3n − 6 edges.
+    val n = 20002L
+    val edges = for (v <- 1L until n; d <- 1L to 3L if v >= d) yield (v - d, v)
+    val weights = (0L until n).map(v => v -> (n - v).toDouble)
+    val t0 = System.nanoTime()
+    val h = WGraph(weights, edges)
+    val seconds = (System.nanoTime() - t0) / 1e9
+    assert(h.m == 60000)
+    assert(seconds < 1.0, s"built in $seconds s")
+  }
+
+  test("duplicate vertex ids are rejected") {
+    val err = intercept[IllegalArgumentException](
+      WGraph(Seq(1L -> 1.0, 1L -> 2.0, 2L -> 3.0), Seq((1L, 2L))))
+    assert(err.getMessage.contains("vertex id 1 appears twice in the weight table"), err.getMessage)
+  }
+
+  test("NaN weights are rejected") {
+    val err = intercept[IllegalArgumentException](
+      WGraph(Seq(1L -> 1.0, 2L -> Double.NaN), Seq((1L, 2L))))
+    assert(err.getMessage.contains("vertex 2 has a NaN weight"), err.getMessage)
+  }
 }

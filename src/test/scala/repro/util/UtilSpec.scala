@@ -101,4 +101,15 @@ class DisjointSetSpec extends AnyFunSuite {
     (1 until n).foreach { i => ds.makeRoot(i); ds.unionInto(i - 1, i) }
     assert((0 until n).forall(ds.find(_) == n - 1))
   }
+
+  test("grows past its initial capacity") {
+    val ds = new DisjointSet(2)
+    assert(!ds.assigned(1000))
+    ds.makeRoot(1000); ds.assign(5, 1000)
+    ds.makeRoot(3); ds.assign(1, 3)
+    ds.unionInto(1, 1000)
+    assert(ds.capacity > 1000)
+    assert(Seq(1, 3, 5, 1000).forall(ds.find(_) == 1000))
+    assert(Seq(0, 2, 999, 5000).forall(!ds.assigned(_)))
+  }
 }
