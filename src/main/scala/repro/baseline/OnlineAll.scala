@@ -26,7 +26,7 @@ object OnlineAll {
     val peeler = new Peeler(g, n, gamma)
     peeler.reduceToCore()
 
-    val lastK = new mutable.ArrayDeque[(Int, Array[Int])](k + 1)
+    val lastK = new mutable.ArrayDeque[(Int, Array[Int])](math.min(k, n) + 1) // k + 1 overflows Int
     var visits = 0L
     val stack = new IntArrayList()
 

@@ -4,7 +4,8 @@ import repro.graph.WGraph
 import repro.util.{DisjointSet, IntArrayList}
 
 /** A materialised influential γ-community. `members` are original vertex ids,
-  * sorted ascending; `influence` is the weight of the keynode.
+  * sorted ascending, in a fresh array that no other community shares;
+  * `influence` is the weight of the keynode.
   */
 final case class Community(keyId: Long, influence: Double, members: Array[Long]) {
   override def toString: String =
@@ -42,9 +43,16 @@ object Community {
   *  - `chOff`/`chList`: the children of each node, a CSR over node indices;
   *  - `sizes`: |IC(u)|, summed when u is linked, after its children.
   *
-  * A community's members are written by an explicit-stack walk of its
-  * subtree into an array of exactly |IC(u)|, so the forest's depth is not
-  * bounded by the call stack.
+  * A community is materialised by merging sorted runs, not by sorting its
+  * members: the ids its node claimed, sorted, and the sorted member arrays of
+  * its already materialised children. Each node has one private slot that
+  * keeps its sorted ids once it is materialised, until its parent reads and
+  * clears it; so when children are materialised before their parents (as
+  * [[CommunityIndex.topK]], LocalSearch-P and EnumICC do), the kept arrays
+  * belong to disjoint subtrees and sum to at most the prefix. A child with
+  * an empty slot (asked after its parent, or never) adds its subtree's
+  * claimed ids to the sorted loose run instead. The subtree walk uses an
+  * explicit stack, so the forest's depth is not bounded by the call stack.
   *
   * LocalSearch-P reuses one instance across rounds: a later (lower-weight)
   * round appends its nodes and can link communities reported by earlier
@@ -60,6 +68,13 @@ final class CommunityIndex(val g: WGraph) {
   private val chList = new IntArrayList()
   private val sizes = new IntArrayList()
   private val stack = new IntArrayList()
+  /** Per node, its sorted member ids once materialised, until its parent reads them. */
+  private var slots = new Array[Array[Long]](16)
+  /** Scratch for one materialisation: the loose ids, and the runs to merge with them. */
+  private var loose = new Array[Long](16)
+  private var runs = new Array[Array[Long]](4)
+  private var heap = new Array[Int](4)
+  private var at = new Array[Int](4)
   grpOff.add(0)
   chOff.add(0)
 
@@ -123,28 +138,117 @@ final class CommunityIndex(val g: WGraph) {
     }
   }
 
-  /** Member ranks of node `c`'s community: its subtree's claimed vertices,
-    * which are disjoint.
+  /** Sorted member ids of node `c`, whose slot is empty. Its subtree is
+    * walked from `c`: a materialised descendant's slot becomes one run (and is
+    * cleared) and its subtree is skipped; every other node's claimed ids go to
+    * the loose run. The runs are disjoint and partition IC(c).
     */
-  private def memberRanks(c: Int): Array[Int] = {
-    val out = new Array[Int](sizes(c))
-    var at = 0
+  private def memberIds(c: Int): Array[Long] = {
+    val n = sizes(c)
+    if (loose.length < n) loose = new Array[Long](math.max(n, loose.length * 2))
+    var nLoose = 0
+    var nRuns = 0
     stack.add(c)
     while (!stack.isEmpty) {
       val x = stack.pop()
-      pool.copyTo(grpOff(x), grpOff(x + 1), out, at)
-      at += grpOff(x + 1) - grpOff(x)
-      var ch = chOff(x)
-      while (ch < chOff(x + 1)) { stack.add(chList(ch)); ch += 1 }
+      val run = slots(x)
+      if (run != null) {
+        if (nRuns == runs.length) runs = java.util.Arrays.copyOf(runs, nRuns * 2)
+        runs(nRuns) = run
+        nRuns += 1
+        slots(x) = null
+      } else {
+        var j = grpOff(x)
+        while (j < grpOff(x + 1)) { loose(nLoose) = g.origId(pool(j)); nLoose += 1; j += 1 }
+        var ch = chOff(x)
+        while (ch < chOff(x + 1)) { stack.add(chList(ch)); ch += 1 }
+      }
     }
+    java.util.Arrays.sort(loose, 0, nLoose)
+    val out =
+      if (nRuns == 0) java.util.Arrays.copyOf(loose, n)
+      else if (nRuns == 1) merge2(runs(0), nLoose, n)
+      else mergeHeap(nRuns, nLoose, n)
+    while (nRuns > 0) { nRuns -= 1; runs(nRuns) = null } // the scratch keeps no read slot alive
+    out
+  }
+
+  /** `a` merged with `loose[0, nLoose)`, `n` ids in all. */
+  private def merge2(a: Array[Long], nLoose: Int, n: Int): Array[Long] = {
+    val out = new Array[Long](n)
+    var i = 0
+    var j = 0
+    var o = 0
+    while (i < a.length && j < nLoose) {
+      if (a(i) < loose(j)) { out(o) = a(i); i += 1 } else { out(o) = loose(j); j += 1 }
+      o += 1
+    }
+    System.arraycopy(a, i, out, o, a.length - i)
+    System.arraycopy(loose, j, out, o + a.length - i, nLoose - j)
+    out
+  }
+
+  /** `runs[0, nRuns)` and `loose[0, nLoose)` merged through a binary min-heap
+    * of run indices keyed by each run's next id: O(n log runs).
+    */
+  private def mergeHeap(nRuns: Int, nLoose: Int, n: Int): Array[Long] = {
+    val m = nRuns + 1
+    if (runs.length < m) runs = java.util.Arrays.copyOf(runs, m)
+    if (heap.length < m) { heap = new Array[Int](m); at = new Array[Int](m) }
+    runs(nRuns) = loose
+    def end(r: Int): Int = if (r == nRuns) nLoose else runs(r).length
+    def key(r: Int): Long = runs(r)(at(r))
+    def siftDown(from: Int, size: Int): Unit = {
+      val r = heap(from)
+      val kr = key(r)
+      var i = from
+      var done = false
+      while (!done) {
+        var c = 2 * i + 1
+        if (c >= size) done = true
+        else {
+          if (c + 1 < size && key(heap(c + 1)) < key(heap(c))) c += 1
+          if (key(heap(c)) < kr) { heap(i) = heap(c); i = c } else done = true
+        }
+      }
+      heap(i) = r
+    }
+    var size = 0
+    var r = 0
+    while (r < m) {
+      at(r) = 0
+      if (end(r) > 0) { heap(size) = r; size += 1 }
+      r += 1
+    }
+    var i = size / 2 - 1
+    while (i >= 0) { siftDown(i, size); i -= 1 }
+    val out = new Array[Long](n)
+    var o = 0
+    while (o < n) {
+      val top = heap(0)
+      out(o) = key(top)
+      o += 1
+      at(top) += 1
+      if (at(top) == end(top)) { size -= 1; heap(0) = heap(size) }
+      if (size > 0) siftDown(0, size)
+    }
+    runs(nRuns) = null
     out
   }
 
   /** |IC(key)| without materialising the member list. */
   def communitySize(key: Int): Int = sizes(keyIdx(key))
 
-  /** Materialise IC(key) with original ids. */
-  def community(key: Int): Community = Community.of(g, key, memberRanks(keyIdx(key)))
+  /** Materialise IC(key) with original ids. Cheapest when the key's child
+    * communities were materialised first; any order gives the same answer.
+    */
+  def community(key: Int): Community = {
+    val c = keyIdx(key)
+    if (slots.length < sizes.length)
+      slots = java.util.Arrays.copyOf(slots, math.max(sizes.length, slots.length * 2))
+    if (slots(c) == null) slots(c) = memberIds(c)
+    Community(g.origId(key), g.weights(key), slots(c).clone())
+  }
 
   /** The §5.1 non-containment community of an NC keynode: exactly gp(u). */
   def ncCommunity(key: Int): Community = {

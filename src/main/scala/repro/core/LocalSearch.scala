@@ -38,8 +38,15 @@ object LocalSearch {
                          delta: Double = 2.0): (Seq[Community], SearchStats) = {
     val (res, stats) =
       search(g, k, gamma, g.deltaStep(delta))(CountIC.run(g, _, gamma, trackNc = true))(_.ncCount)
-    val ncIdx = res.keys.indices.filter(res.nc(_))
-    (ncIdx.takeRight(k).reverse.map(i => Community.of(g, res.keys(i), res.group(i))), stats)
+    // The last k NC keys, from the highest weight down.
+    val out = Vector.newBuilder[Community]
+    var found = 0
+    var i = res.count - 1
+    while (i >= 0 && found < k) {
+      if (res.nc(i)) { out += Community.of(g, res.keys(i), res.group(i)); found += 1 }
+      i -= 1
+    }
+    (out.result(), stats)
   }
 
   /** The search framework of Alg. 1 and Alg. 6, shared by every local search.

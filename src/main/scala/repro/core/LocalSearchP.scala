@@ -17,7 +17,8 @@ import scala.collection.mutable
 object LocalSearchP {
 
   /** One progressively reported community. `materialise()` builds the full
-    * member list on demand by walking the community's subtree of the forest;
+    * member list on demand, merging the sorted members of its already
+    * materialised children (so materialising in reported order is cheapest);
     * `size` is read from the forest without copying, matching the paper's
     * link-not-copy reporting.
     */

@@ -1,15 +1,16 @@
 package repro
 
-import repro.baseline.{Backward, EdgeStore, LocalSearchOA, LocalSearchSE}
+import repro.baseline.{Backward, EdgeStore, Forward, LocalSearchOA, LocalSearchSE, OnlineAll}
 import repro.core.{Community, LocalSearch, LocalSearchP, Truss}
 import repro.gen.GraphGen
 import repro.graph.WGraph
 import repro.ref.Naive
 import repro.spark.{DistLocalSearch, SparkGraphStore}
 
-/** Every entry point that enumerates through the community forest, against
-  * the definition-level answers of [[Naive]] and against each other, on
-  * generated graphs and on adversarial shapes.
+/** Every entry point that enumerates through the community forest, and the
+  * global baselines Forward and OnlineAll, against the definition-level
+  * answers of [[Naive]] and against each other, on generated graphs and on
+  * adversarial shapes.
   */
 class DifferentialSpec extends SparkSpec {
 
@@ -27,6 +28,10 @@ class DifferentialSpec extends SparkSpec {
       "all-equal weights" -> WGraph(base.origId.toSeq.map(_ -> 1.0),
         for (u <- 0 until base.n; v <- base.adjHi(u)) yield (base.origId(u), base.origId(v))),
       "paperLike" -> Fixtures.paperLike,
+      // Each vertex linked to its 4 nearest predecessors, weights shuffled.
+      "id-local band" -> WGraph(
+        new scala.util.Random(5).shuffle((0L until 60L).toVector).zipWithIndex.map { case (v, w) => v -> w.toDouble },
+        for (v <- 1L until 60L; d <- 1L to math.min(v, 4L)) yield (v - d, v)),
     ) ++ (1 to 3).map(s => s"random seed=$s" -> GraphGen.localRandom(40, 5.0, s)) ++
       (1 to 2).map(s => s"power-law seed=$s" -> GraphGen.localPowerLaw(80, 5, s))
   }
@@ -51,6 +56,9 @@ class DifferentialSpec extends SparkSpec {
         assert(asPairs(LocalSearch.topKNonContainment(g, k, gamma)._1) == allNc.take(k), s"NC $clue")
         assert(asPairs(LocalSearchP.topK(g, k, gamma, ncOnly = true)) == allNc.take(k),
                s"LocalSearch-P NC $clue")
+        assert(asPairs(Forward.topK(g, k, gamma)) == expected, s"Forward $clue")
+        assert(asPairs(Forward.topKNonContainment(g, k, gamma)) == allNc.take(k), s"Forward-NC $clue")
+        assert(asPairs(OnlineAll.topK(g, k, gamma)._1) == expected, s"OnlineAll $clue")
       }
       val reported = LocalSearchP.iterator(g, gamma).toVector
       assert(reported.map(_.size) == all.map(_._2.length), s"LocalSearch-P sizes γ=$gamma")

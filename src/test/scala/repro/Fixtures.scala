@@ -70,6 +70,23 @@ object Fixtures {
     (1L to 5L).map(i => (0L, i)),
   )
 
+  /** `cliques` disjoint `size`-cliques of high weight, bridged by one hub of
+    * the lowest weight (id `cliques * size`) adjacent to three members of each.
+    * Clique j holds the ids `j, j + cliques, j + 2·cliques, …`, so the member
+    * ids of different cliques interleave. For γ = 3 (core) or 4 (truss) the
+    * hub's community is the whole graph, a parent with one child community
+    * per clique.
+    */
+  def cliquesWithHub(cliques: Int, size: Int): WGraph = {
+    val hub = (cliques * size).toLong
+    val members = (0 until cliques).map(j => (0 until size).map(i => (i * cliques + j).toLong))
+    WGraph(
+      (0L until hub).map(v => v -> (100.0 + v)) :+ (hub -> 1.0),
+      members.flatMap(ids => for (a <- ids; b <- ids if a < b) yield (a, b)) ++
+        members.flatMap(ids => ids.take(3).map(hub -> _)),
+    )
+  }
+
   /** A nested chain: vertex v (weight n − v) is linked to its `back`
     * predecessors, so for γ ≤ `back` every vertex from rank γ on is a keynode
     * whose community holds all higher-weight vertices: a forest of depth

@@ -89,4 +89,58 @@ class EnumICSpec extends AnyFunSuite {
         assert(comp.count(_ >= 0) == ranks.size && comp.filter(_ >= 0).distinct.length == 1)
       }
     }
+
+  // ------------------------------------------------ materialisation by merge
+
+  private def asPairs(cs: Seq[Community]) = cs.map(c => (c.influence, c.members.toSeq))
+
+  test("many children: the hub's community merges one sorted run per clique") {
+    val g = Fixtures.cliquesWithHub(5, 5)
+    for (k <- Seq(1, 6, Int.MaxValue)) {
+      val expected = asPairs(Naive.topK(g, k, 3))
+      assert(asPairs(LocalSearch.topK(g, k, 3)._1) == expected, s"LocalSearch k=$k")
+      assert(asPairs(LocalSearchP.topK(g, k, 3)) == expected, s"LocalSearch-P k=$k")
+      assert(asPairs(Truss.localSearchTopK(g, k, 4)._1) == asPairs(Naive.topKTruss(g, k, 4)),
+             s"LocalSearch-Truss k=$k")
+    }
+    // The hub's community is 5 disjoint clique communities plus the hub: a
+    // merge of 6 runs whose ids interleave.
+    val all = LocalSearch.topK(g, Int.MaxValue, 3)._1
+    val cliques = all.filter(_.members.length == 5)
+    assert(cliques.length == 5 && cliques.flatMap(_.members).distinct.length == 25)
+    assert(all.last.members.toSeq == (0L to 25L))
+  }
+
+  private val mergeGraphs = Seq(
+    "cliques with hub" -> Fixtures.cliquesWithHub(4, 6),
+    "nested chain" -> Fixtures.nestedChain(60, 3),
+    "paperLike" -> Fixtures.paperLike,
+    "power-law" -> GraphGen.localPowerLaw(100, 5, 5),
+  )
+
+  for ((name, g) <- mergeGraphs)
+    test(s"LocalSearch-P communities materialised in any order equal Naive ($name)") {
+      val expected = asPairs(Naive.topK(g, Int.MaxValue, 3))
+      def materialised(order: Seq[Int] => Seq[Int]): Seq[Community] = {
+        val reported = LocalSearchP.iterator(g, 3).toVector
+        val got = new Array[Community](reported.length)
+        for (i <- order(reported.indices)) got(i) = reported(i).materialise()
+        got.toSeq
+      }
+      assert(asPairs(materialised(identity)) == expected, "forward")
+      assert(asPairs(materialised(_.reverse)) == expected, "reverse")
+      assert(asPairs(materialised(_.flatMap(i => Seq(i, i)))) == expected, "each twice")
+      assert(asPairs(materialised(is => is.reverse.flatMap(i => Seq(i, i)))) == expected,
+             "reverse, each twice")
+    }
+
+  test("overwriting a returned community's members does not corrupt its parent") {
+    val g = Fixtures.cliquesWithHub(4, 6)
+    val expected = asPairs(Naive.topK(g, Int.MaxValue, 3))
+    val reported = LocalSearchP.iterator(g, 3).toVector
+    val children = reported.init.map(_.materialise())
+    for (c <- children) java.util.Arrays.fill(c.members, -1L)
+    assert(asPairs(Seq(reported.last.materialise())) == expected.takeRight(1), "parent")
+    assert(asPairs(reported.map(_.materialise())) == expected, "all again")
+  }
 }

@@ -11,6 +11,7 @@ import repro.ref.Naive
   * their start prefix at extreme k, and their argument checks.
   */
 class SearchDriverSpec extends AnyFunSuite {
+  import SearchDriverSpec.Entry
 
   private def asPairs(cs: Seq[Community]) = cs.map(c => (c.influence, c.members.toSet))
 
@@ -68,10 +69,6 @@ class SearchDriverSpec extends AnyFunSuite {
 
   // ------------------------------------------------------ argument checks
 
-  /** An entry point run with (k, γ, δ); the flags say which it takes. */
-  private final case class Entry(name: String, takesK: Boolean, takesDelta: Boolean,
-                                 run: (Int, Int, Double) => Any)
-
   private val entries = {
     val g = Fixtures.paperLike
     Seq(
@@ -96,4 +93,11 @@ class SearchDriverSpec extends AnyFunSuite {
     if (e.takesDelta)
       for (delta <- Seq(1.0, 0.5, Double.NaN)) rejects(1, 3, delta, "growth ratio must exceed 1")
   }
+}
+
+object SearchDriverSpec {
+
+  /** An entry point run with (k, γ, δ); the flags say which it takes. */
+  private final case class Entry(name: String, takesK: Boolean, takesDelta: Boolean,
+                                 run: (Int, Int, Double) => Any)
 }
