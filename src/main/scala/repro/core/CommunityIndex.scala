@@ -43,16 +43,18 @@ object Community {
   *  - `chOff`/`chList`: the children of each node, a CSR over node indices;
   *  - `sizes`: |IC(u)|, summed when u is linked, after its children.
   *
-  * A community is materialised by merging sorted runs, not by sorting its
-  * members: the ids its node claimed, sorted, and the sorted member arrays of
-  * its already materialised children. Each node has one private slot that
-  * keeps its sorted ids once it is materialised, until its parent reads and
-  * clears it; so when children are materialised before their parents (as
-  * [[CommunityIndex.topK]], LocalSearch-P and EnumICC do), the kept arrays
-  * belong to disjoint subtrees and sum to at most the prefix. A child with
-  * an empty slot (asked after its parent, or never) adds its subtree's
-  * claimed ids to the sorted loose run instead. The subtree walk uses an
-  * explicit stack, so the forest's depth is not bounded by the call stack.
+  * A community is materialised from sorted runs, not from scratch: the
+  * sorted member arrays its materialised descendants keep in their slots,
+  * and the ids the rest of its subtree claimed, sorted on their own; then
+  * one `Arrays.sort` over the concatenation, which (JDK 14 and later) finds
+  * the ascending runs and merges them. Each node has one private slot that
+  * keeps its sorted ids from its materialisation until an ancestor's walk
+  * reads and clears it. A node whose ancestor was materialised before it
+  * keeps nothing, since only a repeat call of that ancestor could read it;
+  * so kept slots never nest and sum to at most the prefix, in any order.
+  * Children-first callers ([[CommunityIndex.topK]], LocalSearch-P, EnumICC)
+  * get the most runs; other orders walk more of the subtree. The walk uses
+  * an explicit stack, so the forest's depth is not bounded by the call stack.
   *
   * LocalSearch-P reuses one instance across rounds: a later (lower-weight)
   * round appends its nodes and can link communities reported by earlier
@@ -68,13 +70,10 @@ final class CommunityIndex(val g: WGraph) {
   private val chList = new IntArrayList()
   private val sizes = new IntArrayList()
   private val stack = new IntArrayList()
-  /** Per node, its sorted member ids once materialised, until its parent reads them. */
+  /** Per node, its sorted member ids once materialised, until an ancestor reads them. */
   private var slots = new Array[Array[Long]](16)
-  /** Scratch for one materialisation: the loose ids, and the runs to merge with them. */
-  private var loose = new Array[Long](16)
-  private var runs = new Array[Array[Long]](4)
-  private var heap = new Array[Int](4)
-  private var at = new Array[Int](4)
+  /** Per node, whether one of its ancestors has been materialised. */
+  private var covered = new Array[Boolean](16)
   grpOff.add(0)
   chOff.add(0)
 
@@ -139,102 +138,39 @@ final class CommunityIndex(val g: WGraph) {
   }
 
   /** Sorted member ids of node `c`, whose slot is empty. Its subtree is
-    * walked from `c`: a materialised descendant's slot becomes one run (and is
-    * cleared) and its subtree is skipped; every other node's claimed ids go to
-    * the loose run. The runs are disjoint and partition IC(c).
+    * walked from `c`: a materialised descendant's slot is copied to the front
+    * as one sorted run (and cleared) and its subtree is skipped; every other
+    * node's claimed ids go to the back, which is sorted before the whole.
+    * Every node the walk reaches below `c` is marked covered; the subtree of
+    * a skipped node was marked by that node's own walk, so once `c` is
+    * materialised its whole subtree is covered.
     */
   private def memberIds(c: Int): Array[Long] = {
-    val n = sizes(c)
-    if (loose.length < n) loose = new Array[Long](math.max(n, loose.length * 2))
-    var nLoose = 0
-    var nRuns = 0
+    val out = new Array[Long](sizes(c))
+    var front = 0
+    var back = out.length
     stack.add(c)
     while (!stack.isEmpty) {
       val x = stack.pop()
       val run = slots(x)
       if (run != null) {
-        if (nRuns == runs.length) runs = java.util.Arrays.copyOf(runs, nRuns * 2)
-        runs(nRuns) = run
-        nRuns += 1
+        System.arraycopy(run, 0, out, front, run.length)
+        front += run.length
         slots(x) = null
       } else {
         var j = grpOff(x)
-        while (j < grpOff(x + 1)) { loose(nLoose) = g.origId(pool(j)); nLoose += 1; j += 1 }
+        while (j < grpOff(x + 1)) { back -= 1; out(back) = g.origId(pool(j)); j += 1 }
         var ch = chOff(x)
-        while (ch < chOff(x + 1)) { stack.add(chList(ch)); ch += 1 }
+        while (ch < chOff(x + 1)) { covered(chList(ch)) = true; stack.add(chList(ch)); ch += 1 }
       }
     }
-    java.util.Arrays.sort(loose, 0, nLoose)
-    val out =
-      if (nRuns == 0) java.util.Arrays.copyOf(loose, n)
-      else if (nRuns == 1) merge2(runs(0), nLoose, n)
-      else mergeHeap(nRuns, nLoose, n)
-    while (nRuns > 0) { nRuns -= 1; runs(nRuns) = null } // the scratch keeps no read slot alive
+    java.util.Arrays.sort(out, back, out.length)
+    java.util.Arrays.sort(out)
     out
   }
 
-  /** `a` merged with `loose[0, nLoose)`, `n` ids in all. */
-  private def merge2(a: Array[Long], nLoose: Int, n: Int): Array[Long] = {
-    val out = new Array[Long](n)
-    var i = 0
-    var j = 0
-    var o = 0
-    while (i < a.length && j < nLoose) {
-      if (a(i) < loose(j)) { out(o) = a(i); i += 1 } else { out(o) = loose(j); j += 1 }
-      o += 1
-    }
-    System.arraycopy(a, i, out, o, a.length - i)
-    System.arraycopy(loose, j, out, o + a.length - i, nLoose - j)
-    out
-  }
-
-  /** `runs[0, nRuns)` and `loose[0, nLoose)` merged through a binary min-heap
-    * of run indices keyed by each run's next id: O(n log runs).
-    */
-  private def mergeHeap(nRuns: Int, nLoose: Int, n: Int): Array[Long] = {
-    val m = nRuns + 1
-    if (runs.length < m) runs = java.util.Arrays.copyOf(runs, m)
-    if (heap.length < m) { heap = new Array[Int](m); at = new Array[Int](m) }
-    runs(nRuns) = loose
-    def end(r: Int): Int = if (r == nRuns) nLoose else runs(r).length
-    def key(r: Int): Long = runs(r)(at(r))
-    def siftDown(from: Int, size: Int): Unit = {
-      val r = heap(from)
-      val kr = key(r)
-      var i = from
-      var done = false
-      while (!done) {
-        var c = 2 * i + 1
-        if (c >= size) done = true
-        else {
-          if (c + 1 < size && key(heap(c + 1)) < key(heap(c))) c += 1
-          if (key(heap(c)) < kr) { heap(i) = heap(c); i = c } else done = true
-        }
-      }
-      heap(i) = r
-    }
-    var size = 0
-    var r = 0
-    while (r < m) {
-      at(r) = 0
-      if (end(r) > 0) { heap(size) = r; size += 1 }
-      r += 1
-    }
-    var i = size / 2 - 1
-    while (i >= 0) { siftDown(i, size); i -= 1 }
-    val out = new Array[Long](n)
-    var o = 0
-    while (o < n) {
-      val top = heap(0)
-      out(o) = key(top)
-      o += 1
-      at(top) += 1
-      if (at(top) == end(top)) { size -= 1; heap(0) = heap(size) }
-      if (size > 0) siftDown(0, size)
-    }
-    runs(nRuns) = null
-    out
-  }
+  /** The ids the slots hold now: at most the prefix. */
+  private[core] def keptIds: Long = slots.iterator.filter(_ != null).map(_.length.toLong).sum
 
   /** |IC(key)| without materialising the member list. */
   def communitySize(key: Int): Int = sizes(keyIdx(key))
@@ -244,10 +180,18 @@ final class CommunityIndex(val g: WGraph) {
     */
   def community(key: Int): Community = {
     val c = keyIdx(key)
-    if (slots.length < sizes.length)
-      slots = java.util.Arrays.copyOf(slots, math.max(sizes.length, slots.length * 2))
-    if (slots(c) == null) slots(c) = memberIds(c)
-    Community(g.origId(key), g.weights(key), slots(c).clone())
+    if (slots.length < sizes.length) {
+      val cap = math.max(sizes.length, slots.length * 2)
+      slots = java.util.Arrays.copyOf(slots, cap)
+      covered = java.util.Arrays.copyOf(covered, cap)
+    }
+    val members =
+      if (slots(c) != null) slots(c).clone()
+      else {
+        val ids = memberIds(c)
+        if (covered(c)) ids else { slots(c) = ids; ids.clone() }
+      }
+    Community(g.origId(key), g.weights(key), members)
   }
 
   /** The §5.1 non-containment community of an NC keynode: exactly gp(u). */

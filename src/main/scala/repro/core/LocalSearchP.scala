@@ -18,7 +18,8 @@ object LocalSearchP {
 
   /** One progressively reported community. `materialise()` builds the full
     * member list on demand, merging the sorted members of its already
-    * materialised children (so materialising in reported order is cheapest);
+    * materialised children (so materialising in reported order is cheapest;
+    * in any order the index keeps at most the prefix's ids for later merges);
     * `size` is read from the forest without copying, matching the paper's
     * link-not-copy reporting.
     */

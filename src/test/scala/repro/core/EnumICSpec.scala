@@ -134,6 +134,26 @@ class EnumICSpec extends AnyFunSuite {
              "reverse, each twice")
     }
 
+  test("kept slots hold at most the prefix in any order (3,000-deep chain)") {
+    val g = Fixtures.nestedChain(3000, 3)
+    val res = CountIC.run(g, g.n, 3)
+    // keys(0) is the outermost community and every later key is nested in it.
+    def most(order: Seq[Int]): Long = {
+      val idx = new CommunityIndex(g)
+      idx.process(res, g.n, 0)
+      order.map { i =>
+        val c = idx.community(res.keys(i))
+        assert(c.members.length == c.keyId + 1 && c.members.indices.forall(j => c.members(j) == j))
+        idx.keptIds
+      }.max
+    }
+    val keys = res.keys.indices
+    assert(most(keys.reverse) <= g.n, "children first")
+    assert(most(keys) <= g.n, "parents first")
+    assert(most(keys.filter(_ % 2 == 0)) <= g.n, "every other one, parents first")
+    assert(most(keys.filter(_ % 2 == 0) ++ keys.reverse) <= g.n, "then all, children first")
+  }
+
   test("overwriting a returned community's members does not corrupt its parent") {
     val g = Fixtures.cliquesWithHub(4, 6)
     val expected = asPairs(Naive.topK(g, Int.MaxValue, 3))
