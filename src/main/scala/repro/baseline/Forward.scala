@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.Community
+import repro.core.{Community, LocalSearch}
 import repro.graph.{Peeler, WGraph}
 import repro.util.IntArrayList
 
@@ -16,12 +16,14 @@ object Forward {
 
   /** Top-k communities in decreasing influence order. */
   def topK(g: WGraph, k: Int, gamma: Int): Seq[Community] = {
+    LocalSearch.requireArgs(k, gamma)
     val total = countKeynodes(g, gamma, nc = false)._1
     secondPass(g, k, gamma, total)
   }
 
   /** §5.1 variant: top-k non-containment communities (Eval-VII's Forward). */
   def topKNonContainment(g: WGraph, k: Int, gamma: Int): Seq[Community] = {
+    LocalSearch.requireArgs(k, gamma)
     val totalNc = countKeynodes(g, gamma, nc = true)._2
     secondPassNc(g, k, gamma, totalNc)
   }

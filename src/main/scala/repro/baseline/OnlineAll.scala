@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.Community
+import repro.core.{Community, LocalSearch}
 import repro.graph.{Peeler, WGraph}
 import repro.util.IntArrayList
 
@@ -22,6 +22,7 @@ object OnlineAll {
     * edge visits performed by the component traversals (the work metric).
     */
   def topK(g: WGraph, k: Int, gamma: Int): (Seq[Community], Long) = {
+    LocalSearch.requireArgs(k, gamma)
     val n = g.n
     val peeler = new Peeler(g, n, gamma)
     peeler.reduceToCore()

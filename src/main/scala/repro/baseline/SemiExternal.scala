@@ -1,7 +1,7 @@
 package repro.baseline
 
-import repro.core.{Community, CommunityIndex, CountIC, LocalSearch}
-import repro.graph.WGraph
+import repro.core.{Community, LocalSearch}
+import repro.graph.{PrefixEdges, WGraph}
 
 /** Semi-external machinery for Eval-VI (disk-resident edges).
   *
@@ -9,39 +9,38 @@ import repro.graph.WGraph
   * weight* (weight of an edge = the minimum weight of its endpoints, i.e.
   * ascending maximum rank) so that prefix subgraphs load sequentially, while
   * main memory holds constant per-vertex information. [[EdgeStore]] realises
-  * that layout in-process with explicit I/O accounting, which is what the
-  * Eval-VI comparison measures (our container has no spinning disk to time).
+  * that layout in-process, as one ascending array of [[WGraph.pack]]ed edges
+  * with explicit I/O accounting, which is what the Eval-VI comparison
+  * measures (our container has no spinning disk to time).
   */
-final class EdgeStore private (val loRank: Array[Int], val hiRank: Array[Int]) {
+final class EdgeStore private (packed: Array[Long], protected val weights: Array[Double],
+                               protected val origId: Array[Long], cumSize: Array[Long]) extends PrefixEdges {
 
   /** Edges streamed out of the store so far (the I/O metric). */
   var edgesRead: Long = 0L
 
-  def totalEdges: Int = loRank.length
+  def n: Int = weights.length
+  def prefixSize(p: Int): Long = cumSize(p)
+  def totalEdges: Int = packed.length
 
   /** Read edges `[from, until)` in storage (decreasing weight) order. */
-  def readRange(from: Int, until: Int): Array[(Int, Int)] = {
+  def read(from: Int, until: Int): Array[Long] = {
     edgesRead += (until - from)
-    Array.tabulate(until - from)(i => (loRank(from + i), hiRank(from + i)))
+    java.util.Arrays.copyOfRange(packed, from, until)
   }
+
+  def fetch(fromRank: Int, untilRank: Int): Array[Long] =
+    read(prefixEdges(fromRank).toInt, prefixEdges(untilRank).toInt)
 }
 
 object EdgeStore {
   /** Sort the edges of `g` by decreasing edge weight (ascending max rank). */
   def fromGraph(g: WGraph): EdgeStore = {
-    val m = g.m.toInt
-    val lo = new Array[Int](m)
-    val hi = new Array[Int](m)
+    val packed = new Array[Long](g.m.toInt)
     var i = 0
-    var u = 0
     // adjHi(u) holds edges whose max rank is u; ranks ascend = weights descend.
-    while (u < g.n) {
-      val h = g.adjHi(u)
-      var j = 0
-      while (j < h.length) { lo(i) = h(j); hi(i) = u; i += 1; j += 1 }
-      u += 1
-    }
-    new EdgeStore(lo, hi)
+    for (u <- 0 until g.n; v <- g.adjHi(u)) { packed(i) = WGraph.pack(u, v); i += 1 }
+    new EdgeStore(packed, g.weights, g.origId, g.cumSize)
   }
 }
 
@@ -58,19 +57,8 @@ object LocalSearchSE {
 
   def topK(g: WGraph, store: EdgeStore, k: Int, gamma: Int,
            delta: Double = 2.0): SeResult = {
-    val buffered = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    var loaded = 0
-    var prefix: WGraph = null
-    val (res, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta)) { p =>
-      val need = g.prefixEdges(p).toInt
-      if (need > loaded) {
-        buffered ++= store.readRange(loaded, need)
-        loaded = need
-      }
-      prefix = WGraph.fromRanked(g.weights.take(p), g.origId.take(p), buffered)
-      CountIC.run(prefix, p, gamma)
-    }(_.count)
-    SeResult(CommunityIndex.topK(prefix, res, stats.finalPrefix, k), store.edgesRead, loaded.toLong)
+    val (communities, stats) = LocalSearch.searchEdges(store, k, gamma, delta)
+    SeResult(communities, store.edgesRead, g.prefixEdges(stats.finalPrefix))
   }
 }
 
@@ -87,16 +75,16 @@ object OnlineAllSE {
 
   def topK(g: WGraph, store: EdgeStore, k: Int, gamma: Int,
            budgetEdges: Int): SeResult = {
+    LocalSearch.requireArgs(k, gamma)
     val m = store.totalEdges
     var pos = 0
-    var checksum = 0L
+    var read = 0L
     while (pos < m) {
       val until = math.min(m, pos + budgetEdges)
-      val chunk = store.readRange(pos, until)
-      chunk.foreach { case (a, b) => checksum += a + b } // consume the chunk
+      read += store.read(pos, until).length // consume the chunk
       pos = until
     }
-    require(checksum >= 0)
+    require(read == m, s"scanned $read of $m edges")
     val (communities, _) = OnlineAll.topK(g, k, gamma)
     SeResult(communities, store.edgesRead, math.min(budgetEdges.toLong, m.toLong))
   }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{PrefixSizes, WGraph}
+import repro.graph.{PrefixEdges, PrefixSizes, WGraph}
 
 /** Execution statistics for the analysis of §3.3 and the benches.
   *
@@ -64,8 +64,7 @@ object LocalSearch {
     */
   private[repro] def search[R](sizes: PrefixSizes, k: Int, gamma: Int, step: Int => Int)
                              (count: Int => R)(found: R => Int): (R, SearchStats) = {
-    require(k >= 1, "k must be positive")
-    require(gamma >= 1, "gamma must be positive")
+    requireArgs(k, gamma)
     var p = math.min(sizes.n.toLong, k.toLong + gamma).toInt // k + γ overflows Int
     var res = count(p)
     var rounds = 1
@@ -77,5 +76,32 @@ object LocalSearch {
       work += sizes.prefixSize(p)
     }
     (res, SearchStats(rounds, p, sizes.prefixSize(p), work))
+  }
+
+  /** Alg. 1 over an edge store (LocalSearch-SE, DistLocalSearch): each round
+    * fetches only the edges its prefix gained, builds the prefix from every
+    * edge held and counts on it. `onRound(round, p)` runs before the fetch.
+    */
+  private[repro] def searchEdges(src: PrefixEdges, k: Int, gamma: Int, delta: Double,
+                                 onRound: (Int, Int) => Unit = (_, _) => ()): (Seq[Community], SearchStats) = {
+    var edges = Array.emptyLongArray
+    var fetched = 0
+    var rounds = 0
+    var prefix: WGraph = null
+    val (res, stats) = search(src, k, gamma, src.deltaStep(delta)) { p =>
+      rounds += 1
+      onRound(rounds, p)
+      edges ++= src.fetch(fetched, p)
+      fetched = p
+      prefix = src.prefixGraph(p, edges)
+      CountIC.run(prefix, p, gamma)
+    }(_.count)
+    (CommunityIndex.topK(prefix, res, stats.finalPrefix, k), stats)
+  }
+
+  /** The argument checks of every top-k entry point. */
+  private[repro] def requireArgs(k: Int, gamma: Int): Unit = {
+    require(k >= 1, "k must be positive")
+    require(gamma >= 1, "gamma must be positive")
   }
 }

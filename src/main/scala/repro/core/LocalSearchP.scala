@@ -39,7 +39,7 @@ object LocalSearchP {
     */
   def iterator(g: WGraph, gamma: Int, delta: Double = 2.0,
                ncOnly: Boolean = false): Iterator[Reported] = new Iterator[Reported] {
-    require(gamma >= 1, "gamma must be positive")
+    LocalSearch.requireArgs(1, gamma) // no k: the caller stops consuming
     private val step = g.deltaStep(delta)
     private val index = new CommunityIndex(g)
     private var p = math.min(g.n, 1 + gamma) // τ1: one community needs γ+1 vertices
@@ -75,7 +75,7 @@ object LocalSearchP {
     */
   def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0,
            ncOnly: Boolean = false): Seq[Community] = {
-    require(k >= 1, "k must be positive")
+    LocalSearch.requireArgs(k, gamma)
     iterator(g, gamma, delta, ncOnly).take(k).map(_.materialise()).toSeq
   }
 }

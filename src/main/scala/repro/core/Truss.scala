@@ -163,6 +163,7 @@ object Truss {
 
   /** Eval-VIII's GlobalSearch-Truss: CountICC on the whole graph + EnumICC. */
   def globalSearchTopK(g: WGraph, k: Int, gamma: Int): Seq[Community] = {
+    LocalSearch.requireArgs(k, gamma)
     val res = Truss.countICC(g, g.n, gamma)
     enumICC(g, g.n, res, k)
   }

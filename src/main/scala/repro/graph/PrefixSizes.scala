@@ -15,6 +15,12 @@ trait PrefixSizes {
     */
   def prefixSize(p: Int): Long
 
+  /** size(G) = |V| + |E|. */
+  def size: Long = prefixSize(n)
+
+  /** Number of edges inside the top-`p` prefix. */
+  def prefixEdges(p: Int): Long = prefixSize(p) - p
+
   /** Smallest prefix length whose size is ≥ `target`, capped at n. */
   def growTo(target: Long): Int = {
     var lo = 0
@@ -34,4 +40,22 @@ trait PrefixSizes {
     require(delta > 1.0, "growth ratio must exceed 1")
     p => math.min(n, math.max(p + 1, growTo(math.ceil(delta * prefixSize(p).toDouble).toLong)))
   }
+}
+
+/** Prefix sizes plus the edges, [[WGraph.pack]]ed and read in the paper's
+  * edge-weight order (§3.1 Remark), while memory holds ids and weights by
+  * rank: the edge stores of LocalSearch-SE and DistLocalSearch.
+  */
+trait PrefixEdges extends PrefixSizes {
+  protected def weights: Array[Double]
+  protected def origId: Array[Long]
+
+  /** The edges whose maxRank lies in `[fromRank, untilRank)`. */
+  def fetch(fromRank: Int, untilRank: Int): Array[Long]
+
+  /** The top-`p` prefix, given every edge with maxRank < p (in any order,
+    * repeats allowed); sorts `edges` in place.
+    */
+  def prefixGraph(p: Int, edges: Array[Long]): WGraph =
+    WGraph.fromPacked(java.util.Arrays.copyOf(weights, p), java.util.Arrays.copyOf(origId, p), edges, edges.length)
 }

@@ -45,14 +45,8 @@ final class WGraph private[graph] (
   /** Total number of undirected edges. */
   def m: Long = cumSize(n) - n
 
-  /** size(G) = |V| + |E|. */
-  def size: Long = cumSize(n)
-
   /** size of the prefix subgraph on the top-`p` ranks. */
   def prefixSize(p: Int): Long = cumSize(p)
-
-  /** Number of edges inside the top-`p` prefix. */
-  def prefixEdges(p: Int): Long = cumSize(p) - p
 
   /** Degree of rank `u` within the top-`p` prefix (requires `u < p`). */
   def degIn(u: Int, p: Int): Int = adjHi(u).length + countBelow(adjLo(u), p)
@@ -111,18 +105,32 @@ object WGraph {
       r += 1
     }
 
-    // Packed `lo << 32 | hi`, sorted, so parallel edges become neighbours.
     val packed = new Array[Long](edges.size)
     var m = 0
     for ((a, b) <- edges if a != b) {
       (rank.get(a), rank.get(b)) match {
-        case (Some(ra), Some(rb)) =>
-          packed(m) = math.min(ra, rb).toLong << 32 | math.max(ra, rb)
-          m += 1
+        case (Some(ra), Some(rb)) => packed(m) = pack(ra, rb); m += 1
         case _ =>
           throw new IllegalArgumentException(s"edge ($a,$b) references unknown vertex")
       }
     }
+    fromPacked(weights, origId, packed, m)
+  }
+
+  /** The edge between ranks `a != b` as one long, `maxRank << 32 | minRank`:
+    * ascending order is the paper's edge-weight order (§3.1 Remark), with the
+    * edges of each `adjHi` row contiguous and ascending.
+    */
+  def pack(a: Int, b: Int): Long = math.max(a, b).toLong << 32 | math.min(a, b)
+
+  /** Build from the [[pack]]ed edges `packed[0, m)` over ranks
+    * `< weights.length`, in any order, repeats allowed. Sorts the range in
+    * place and compacts it to its distinct edges at the front; the range
+    * still holds the same set of edges.
+    */
+  def fromPacked(weights: Array[Double], origId: Array[Long],
+                 packed: Array[Long], m: Int): WGraph = {
+    val n = weights.length
     java.util.Arrays.sort(packed, 0, m)
     var unique = 0
     var i = 0
@@ -130,51 +138,23 @@ object WGraph {
       if (unique == 0 || packed(unique - 1) != packed(i)) { packed(unique) = packed(i); unique += 1 }
       i += 1
     }
-    fromPacked(n, weights, origId, packed, unique)
-  }
-
-  /** Build when ranks and weights are already assigned (e.g. collected from
-    * the Spark store, where the window rank is authoritative). `pairs` must be
-    * deduplicated canonical `(hiRank?, loRank?)` — any orientation accepted —
-    * and reference ranks `< n`.
-    */
-  def fromRanked(weights: Array[Double], origId: Array[Long],
-                 pairs: Iterable[(Int, Int)]): WGraph = {
-    val packed = new Array[Long](pairs.size)
-    var m = 0
-    for ((a, b) <- pairs if a != b) {
-      packed(m) = math.min(a, b).toLong << 32 | math.max(a, b)
-      m += 1
-    }
-    fromPacked(weights.length, weights, origId, packed, m)
-  }
-
-  /** Build from the distinct edges `packed[0, m)`, each `lo << 32 | hi` with
-    * ranks `lo < hi < n`, in any order.
-    */
-  private def fromPacked(n: Int, weights: Array[Double], origId: Array[Long],
-                         packed: Array[Long], m: Int): WGraph = {
-    val hiCnt = new Array[Int](n) // |adjHi(u)| where u is the larger rank
+    // In (maxRank, minRank) order each adjHi row is filled from its run, and
+    // each adjLo row receives its maxRanks ascending: no row needs a sort.
+    val hiCnt = new Array[Int](n)
     val loCnt = new Array[Int](n)
-    var i = 0
-    while (i < m) { hiCnt(packed(i).toInt) += 1; loCnt((packed(i) >>> 32).toInt) += 1; i += 1 }
+    i = 0
+    while (i < unique) { hiCnt((packed(i) >>> 32).toInt) += 1; loCnt(packed(i).toInt) += 1; i += 1 }
     val adjHi = Array.tabulate(n)(u => new Array[Int](hiCnt(u)))
     val adjLo = Array.tabulate(n)(u => new Array[Int](loCnt(u)))
     java.util.Arrays.fill(hiCnt, 0)
     java.util.Arrays.fill(loCnt, 0)
     i = 0
-    while (i < m) {
-      val lo = (packed(i) >>> 32).toInt
-      val hi = packed(i).toInt
+    while (i < unique) {
+      val hi = (packed(i) >>> 32).toInt
+      val lo = packed(i).toInt
       adjHi(hi)(hiCnt(hi)) = lo; hiCnt(hi) += 1
       adjLo(lo)(loCnt(lo)) = hi; loCnt(lo) += 1
       i += 1
-    }
-    var u = 0
-    while (u < n) {
-      java.util.Arrays.sort(adjHi(u))
-      java.util.Arrays.sort(adjLo(u))
-      u += 1
     }
     new WGraph(n, weights, origId, adjHi, adjLo)
   }

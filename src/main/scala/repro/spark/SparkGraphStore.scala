@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.graph.{PrefixSizes, WGraph}
+import repro.graph.{PrefixEdges, WGraph}
 
 /** The graph data management system of the reproduction: the paper's
   * semi-external layout (§3.1 Remark) with Spark holding the edges.
@@ -24,30 +24,27 @@ import repro.graph.{PrefixSizes, WGraph}
 final class SparkGraphStore private (
     private[spark] val spark: SparkSession,
     /** Original id by rank; rank 0 = highest weight. */
-    ids: Array[Long],
+    protected val origId: Array[Long],
     /** Weight by rank; non-increasing. */
-    weights: Array[Double],
+    protected val weights: Array[Double],
     /** One ascending array of packed edges per partition; persisted. */
     packed: RDD[Array[Long]],
-    /** cumEdges(p) = number of edges with maxRank < p (length n+1). */
+    /** cumEdges(p) = number of edge rows with maxRank < p (length n+1). */
     val cumEdges: Array[Long],
-) extends PrefixSizes {
+) extends PrefixEdges {
 
   /** Number of vertices. */
-  val n: Int = ids.length
+  val n: Int = origId.length
 
   /** size (|V|+|E|) of the top-`p` prefix subgraph. */
   def prefixSize(p: Int): Long = p + cumEdges(p)
 
-  /** Total graph size. */
-  def size: Long = prefixSize(n)
-
-  /** The edges whose maxRank lies in `[from, until)`, packed as
-    * `maxRank << 32 | minRank`, fetched by one Spark job.
+  /** The edges whose maxRank lies in `[fromRank, untilRank)`, fetched by one
+    * Spark job.
     */
-  private[spark] def fetchEdges(from: Int, until: Int): Array[Long] = {
-    val lo = from.toLong << 32
-    val hi = until.toLong << 32
+  def fetch(fromRank: Int, untilRank: Int): Array[Long] = {
+    val lo = fromRank.toLong << 32
+    val hi = untilRank.toLong << 32
     val slices = spark.sparkContext.runJob(packed, (it: Iterator[Array[Long]]) => {
       val a = it.next()
       java.util.Arrays.copyOfRange(a, SparkGraphStore.lowerBound(a, lo), SparkGraphStore.lowerBound(a, hi))
@@ -55,15 +52,8 @@ final class SparkGraphStore private (
     Array.concat(slices.toSeq: _*)
   }
 
-  /** The top-`p` prefix as a local [[WGraph]], given exactly its edges in
-    * packed form (every entry with maxRank < p).
-    */
-  private[spark] def prefixGraph(p: Int, edges: Array[Long]): WGraph =
-    WGraph.fromRanked(java.util.Arrays.copyOf(weights, p), java.util.Arrays.copyOf(ids, p),
-      edges.view.map(e => ((e >>> 32).toInt, e.toInt)))
-
   /** Pull the top-`p` prefix out of the cluster as a local [[WGraph]]. */
-  def collectPrefix(p: Int): WGraph = prefixGraph(p, fetchEdges(0, p))
+  def collectPrefix(p: Int): WGraph = prefixGraph(p, fetch(0, p))
 
   /** The whole graph, local. */
   def toLocal: WGraph = collectPrefix(n)
@@ -71,7 +61,7 @@ final class SparkGraphStore private (
   /** (id, weight, rank), built from the driver arrays on each call; not cached. */
   def vertices: DataFrame = {
     import spark.implicits._
-    ids.indices.map(r => (ids(r), weights(r), r)).toDF("id", "weight", "rank")
+    origId.indices.map(r => (origId(r), weights(r), r)).toDF("id", "weight", "rank")
   }
 
   /** (src, dst, srcRank, dstRank, maxRank) with src < dst, derived from the
@@ -79,7 +69,7 @@ final class SparkGraphStore private (
     */
   def edges: DataFrame = {
     import spark.implicits._
-    val id = ids // a local, so the task closure does not capture the store
+    val id = origId // a local, so the task closure does not capture the store
     packed.flatMap(_.iterator.map { e =>
       val hi = (e >>> 32).toInt
       val lo = e.toInt
@@ -92,9 +82,12 @@ final class SparkGraphStore private (
 
 object SparkGraphStore {
 
-  /** Build the store from a simple undirected edge list `(src, dst)` and a
-    * weight table `(id, weight)`. Rejects duplicate ids, NaN weights,
-    * self-loops, and edges with an endpoint missing from `weightsDf`.
+  /** Build the store from an undirected edge list `(src, dst)` and a weight
+    * table `(id, weight)`. Rejects duplicate ids, NaN weights, self-loops,
+    * and edges with an endpoint missing from `weightsDf`. An edge listed
+    * more than once (in either direction) is kept as given: `cumEdges`
+    * counts the rows, so prefix sizes and `SearchStats` count each repeat,
+    * while every prefix graph holds the edge once.
     */
   def build(spark: SparkSession, edgesDf: DataFrame, weightsDf: DataFrame): SparkGraphStore = {
     val rows = weightsDf.select(col("id").cast("long"), col("weight").cast("double")).collect()
@@ -120,14 +113,14 @@ object SparkGraphStore {
         val b = Array.newBuilder[Long]
         it.foreach { r =>
           val (s, d) = (r.getLong(0), r.getLong(1))
-          def rank(v: Long): Long = {
+          def rank(v: Long): Int = {
             val i = java.util.Arrays.binarySearch(sortedIds, v)
             if (i < 0) throw new IllegalArgumentException(s"edge ($s,$d) references vertex $v, which has no weight")
-            byId(i).toLong
+            byId(i)
           }
           if (s == d) throw new IllegalArgumentException(s"edge ($s,$d) is a self-loop")
           val (rs, rd) = (rank(s), rank(d))
-          b += (math.max(rs, rd) << 32 | math.min(rs, rd))
+          b += WGraph.pack(rs, rd)
         }
         val a = b.result()
         java.util.Arrays.sort(a)

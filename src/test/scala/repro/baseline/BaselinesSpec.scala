@@ -105,15 +105,15 @@ class SemiExternalSpec extends AnyFunSuite {
   test("EdgeStore lists edges in decreasing edge-weight order") {
     val g = Fixtures.paperLike
     val store = EdgeStore.fromGraph(g)
-    val maxRanks = store.readRange(0, store.totalEdges).map { case (a, b) => math.max(a, b) }
+    val maxRanks = store.read(0, store.totalEdges).map(e => (e >>> 32).toInt)
     assert(maxRanks.toSeq == maxRanks.sorted.toSeq)
     assert(store.totalEdges == g.m)
   }
 
   test("EdgeStore counts reads") {
     val store = EdgeStore.fromGraph(Fixtures.paperLike)
-    store.readRange(0, 5)
-    store.readRange(5, 7)
+    store.read(0, 5)
+    store.read(5, 7)
     assert(store.edgesRead == 7)
   }
 

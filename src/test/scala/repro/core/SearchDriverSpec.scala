@@ -2,13 +2,14 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.baseline.{Backward, EdgeStore, LocalSearchOA, LocalSearchSE}
+import repro.baseline.{Backward, EdgeStore, Forward, LocalSearchOA, LocalSearchSE, OnlineAll, OnlineAllSE}
 import repro.gen.GraphGen
 import repro.graph.WGraph
 import repro.ref.Naive
 
 /** The local searches that share [[LocalSearch.search]]: their statistics,
-  * their start prefix at extreme k, and their argument checks.
+  * their start prefix at extreme k, and their argument checks, which the
+  * global searches share too.
   */
 class SearchDriverSpec extends AnyFunSuite {
   import SearchDriverSpec.Entry
@@ -80,6 +81,11 @@ class SearchDriverSpec extends AnyFunSuite {
       Entry("LocalSearchOA.topK", true, true, LocalSearchOA.topK(g, _, _, _)),
       Entry("LocalSearchSE.topK", true, true, LocalSearchSE.topK(g, EdgeStore.fromGraph(g), _, _, _)),
       Entry("Backward.topK", true, false, (k, gamma, _) => Backward.topK(g, k, gamma)),
+      Entry("Forward.topK", true, false, (k, gamma, _) => Forward.topK(g, k, gamma)),
+      Entry("Forward.topKNonContainment", true, false, (k, gamma, _) => Forward.topKNonContainment(g, k, gamma)),
+      Entry("OnlineAll.topK", true, false, (k, gamma, _) => OnlineAll.topK(g, k, gamma)),
+      Entry("OnlineAllSE.topK", true, false, (k, gamma, _) => OnlineAllSE.topK(g, EdgeStore.fromGraph(g), k, gamma, 8)),
+      Entry("Truss.globalSearchTopK", true, false, (k, gamma, _) => Truss.globalSearchTopK(g, k, gamma)),
     )
   }
 

@@ -24,10 +24,10 @@ class WGraphSpec extends AnyFunSuite {
     assert((0 until g.n).forall(u => g.adjLo(u).forall(_ > u)))
   }
 
+  private def strictlyAscending(a: Array[Int]) = (1 until a.length).forall(i => a(i - 1) < a(i))
+
   test("adjacency lists are sorted ascending") {
-    assert((0 until g.n).forall { u =>
-      g.adjHi(u).toSeq == g.adjHi(u).toSeq.sorted && g.adjLo(u).toSeq == g.adjLo(u).toSeq.sorted
-    })
+    assert((0 until g.n).forall(u => strictlyAscending(g.adjHi(u)) && strictlyAscending(g.adjLo(u))))
   }
 
   test("every edge appears in exactly one adjHi and one adjLo") {
@@ -100,13 +100,18 @@ class WGraphSpec extends AnyFunSuite {
     assert((0 until g.n).forall(r => g.rankOf(g.origId(r)) == r))
   }
 
-  test("fromRanked accepts any edge orientation") {
-    val w = Array(3.0, 2.0, 1.0)
-    val ids = Array(0L, 1L, 2L)
-    val a = WGraph.fromRanked(w, ids, Seq((0, 1), (2, 1)))
-    val b = WGraph.fromRanked(w, ids, Seq((1, 0), (1, 2)))
-    assert(a.m == 2 && b.m == 2)
-    assert(a.adjHi(1).toSeq == b.adjHi(1).toSeq)
+  test("fromPacked accepts any orientation, any order and repeated edges") {
+    val w = Array(4.0, 3.0, 2.0, 1.0)
+    val ids = Array(0L, 1L, 2L, 3L)
+    val edges = Seq((0, 1), (2, 1), (3, 0), (2, 0), (3, 1))
+    val a = WGraph.fromPacked(w, ids, edges.map { case (u, v) => WGraph.pack(u, v) }.toArray, edges.length)
+    val flipped = edges.reverse.map { case (u, v) => WGraph.pack(v, u) } :+ WGraph.pack(1, 2) :+ WGraph.pack(0, 3)
+    val b = WGraph.fromPacked(w, ids, flipped.toArray, flipped.length)
+    assert(a.m == 5 && b.m == 5)
+    for (h <- Seq(a, b)) {
+      assert(h.adjHi.map(_.toSeq).toSeq == Seq(Nil, Seq(0), Seq(0, 1), Seq(0, 1)))
+      assert(h.adjLo.map(_.toSeq).toSeq == Seq(Seq(1, 2, 3), Seq(2, 3), Nil, Nil))
+    }
   }
 
   test("random graphs: degree sum equals 2m") {

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.LocalSearch
 import repro.gen.GraphGen
-import repro.graph.GraphOps
+import repro.graph.{GraphOps, WGraph}
 import repro.ref.Naive
 
 import java.util.concurrent.ConcurrentLinkedQueue
@@ -159,6 +159,18 @@ class SparkLayerSpec extends SparkSpec {
     val w = Seq((1L, 1.0), (2L, Double.NaN)).toDF("id", "weight")
     val err = intercept[IllegalArgumentException](SparkGraphStore.build(spark, e, w))
     assert(err.getMessage.contains("vertex 2 has a NaN weight"), err.getMessage)
+  }
+
+  test("an edge listed in both directions counts once in the prefix graphs") {
+    val w = Seq((1L, 3.0), (2L, 2.0), (3L, 1.0))
+    val e = Seq((1L, 2L), (2L, 1L), (2L, 3L), (3L, 2L))
+    val dup = SparkGraphStore.build(spark, e.toDF("src", "dst"), w.toDF("id", "weight"))
+    try {
+      assert(dup.toLocal.m == 2)
+      val (dist, _) = DistLocalSearch.topK(dup, 1, 2)
+      val (loc, _) = LocalSearch.topK(WGraph(w, Seq((1L, 2L), (2L, 3L))), 1, 2)
+      assert(dist.isEmpty && loc.isEmpty)
+    } finally dup.unpersist()
   }
 
   // ------------------------------------------------------------------- k-core
