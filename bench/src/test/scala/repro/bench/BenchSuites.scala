@@ -4,8 +4,9 @@ import repro.SparkSpec
 import repro.exp._
 
 /** Benchmark suites — one per evaluation table/figure of the paper. Each
-  * prints the reproduced table (captured into bench_output.txt and
-  * transcribed into EXPERIMENTS.md) and asserts the *shape* facts the paper
+  * runs its [[Experiments]] tables, which print themselves (captured into
+  * bench_output.txt and filled into EXPERIMENTS.md by
+  * scripts/assemble_experiments.py), and asserts the *shape* facts the paper
   * claims; absolute milliseconds differ because the stand-in graphs are
   * 10²–10⁴× smaller (DESIGN.md §3).
   *
@@ -13,9 +14,7 @@ import repro.exp._
   */
 class Table1Bench extends SparkSpec {
   test("Table 1: stand-in graph statistics") {
-    val rows = Table1.rows(spark)
-    println(Tables.render("Table 1 -- graph statistics (stand-ins)",
-      Seq("graph", "paper graph", "#vertices", "#edges", "d_max", "d_avg", "gamma_max"), rows))
+    val rows = Table1.table.run(spark)
     // size ordering mirrors the paper's: email smallest, arabic/twitter biggest
     val mByName = rows.map(r => r.head -> r(3).toLong).toMap
     assert(mByName("email-s") < mByName("youtube-s"))
@@ -28,15 +27,9 @@ class Table1Bench extends SparkSpec {
 
 class Eval1Bench extends SparkSpec {
   test("Eval-I: LocalSearch-P vs OnlineAll vs Forward (vary k, vary gamma)") {
-    val vk = Eval1.varyK(spark)
-    println(Tables.render("Eval-I / Fig. 8 -- vary k (gamma=10), time in ms",
-      Seq("graph", "k", "LocalSearch-P", "Forward", "OnlineAll"), vk))
-    val vg = Eval1.varyGamma(spark)
-    println(Tables.render("Eval-I / Fig. 9 -- vary gamma (k=10), time in ms",
-      Seq("graph", "gamma", "LocalSearch-P", "Forward", "OnlineAll"), vg))
-    val lp = Eval1.largeParams(spark)
-    println(Tables.render("Eval-I / Fig. 10 -- large k and gamma, time in ms",
-      Seq("graph", "k", "gamma", "LocalSearch-P", "Forward"), lp))
+    val vk = Eval1.fig8.run(spark)
+    val vg = Eval1.fig9.run(spark)
+    Eval1.fig10.run(spark)
     // shape: on every graph/k, LocalSearch-P beats Forward, which beats
     // OnlineAll where the latter ran (aggregate, not per-row, to avoid noise)
     def tot(rows: Seq[Seq[String]], col: Int) =
@@ -50,9 +43,7 @@ class Eval1Bench extends SparkSpec {
 
 class Eval2Bench extends SparkSpec {
   test("Eval-II: LocalSearch-P vs Backward") {
-    val rows = Eval2.rows(spark)
-    println(Tables.render("Eval-II / Fig. 11 -- vs Backward, time in ms",
-      Seq("graph", "gamma", "k", "LocalSearch-P", "Backward"), rows))
+    val rows = Eval2.table.run(spark)
     val lsp = rows.map(_(3).toDouble).sum
     val bwd = rows.map(_(4).toDouble).sum
     assert(lsp < bwd, s"LocalSearch-P total $lsp < Backward total $bwd")
@@ -61,9 +52,7 @@ class Eval2Bench extends SparkSpec {
 
 class Eval3Bench extends SparkSpec {
   test("Eval-III: LocalSearch-P vs LocalSearch-OA") {
-    val rows = Eval3.rows(spark)
-    println(Tables.render("Eval-III / Fig. 12 -- vs LocalSearch-OA (gamma=10), ms",
-      Seq("graph", "k", "LocalSearch-P", "LocalSearch-OA"), rows))
+    val rows = Eval3.table.run(spark)
     assert(rows.map(_(2).toDouble).sum <= rows.map(_(3).toDouble).sum * 1.2,
       "CountIC-based counting is no slower than OnlineAll-style counting")
   }
@@ -71,9 +60,7 @@ class Eval3Bench extends SparkSpec {
 
 class Eval4Bench extends SparkSpec {
   test("Eval-IV: growth ratio delta sweep") {
-    val rows = Eval4.rows(spark)
-    println(Tables.render("Eval-IV / Fig. 13 -- delta sweep (k=10, gamma=10), ms",
-      "graph" +: Eval4.deltas.map(d => s"d=$d"), rows))
+    val rows = Eval4.table.run(spark)
     // shape: delta around 2 is not dominated by the extreme delta=128
     val at2 = rows.map(_(2).toDouble).sum   // δ=2 column
     val at128 = rows.map(_.last.toDouble).sum
@@ -83,13 +70,8 @@ class Eval4Bench extends SparkSpec {
 
 class Eval5Bench extends SparkSpec {
   test("Eval-V: progressive reporting latency and total time") {
-    val lat = Eval5.latencyRows(spark)
-    println(Tables.render("Eval-V / Fig. 14 -- time to i-th community (gamma=10), ms",
-      Seq("graph", "algorithm") ++ Eval5.reportAt.map(i => s"i=$i") :+ "LocalSearch(total)",
-      lat))
-    val tot = Eval5.totalRows(spark)
-    println(Tables.render("Eval-V / Fig. 15 -- total time, LocalSearch-P vs LocalSearch, ms",
-      Seq("graph", "k", "LocalSearch-P", "LocalSearch"), tot))
+    val lat = Eval5.fig14.run(spark)
+    Eval5.fig15.run(spark)
     // progressive latencies are non-decreasing in i
     for (row <- lat) {
       val times = row.slice(2, 2 + Eval5.reportAt.length).map(_.toDouble)
@@ -97,17 +79,14 @@ class Eval5Bench extends SparkSpec {
     }
     // the first community arrives no later than the batch algorithm finishes
     for (row <- lat)
-      assert(row(2).toDouble <= row.last.toDouble * 3 + 5.0,
+      assert(row(2).toDouble <= row.last.toDouble,
         s"${row.head}: first report ${row(2)} vs batch total ${row.last}")
   }
 }
 
 class Eval6Bench extends SparkSpec {
   test("Eval-VI: semi-external LocalSearch-SE vs OnlineAll-SE") {
-    val rows = Eval6.rows(spark)
-    println(Tables.render("Eval-VI / Figs. 16-17 -- semi-external (gamma=10)",
-      Seq("graph", "k", "LS-SE ms", "OA-SE ms", "LS-SE edges read",
-          "OA-SE edges read", "LS-SE resident", "OA-SE resident"), rows))
+    val rows = Eval6.table.run(spark)
     for (row <- rows) {
       assert(row(4).toLong <= row(5).toLong, s"${row.head}: LS-SE I/O bounded by full scan")
       assert(row(6).toLong <= row(5).toLong, s"${row.head}: LS-SE memory below graph size")
@@ -118,9 +97,7 @@ class Eval6Bench extends SparkSpec {
 
 class Eval7Bench extends SparkSpec {
   test("Eval-VII: non-containment queries") {
-    val rows = Eval7.rows(spark)
-    println(Tables.render("Eval-VII / Fig. 18 -- non-containment queries, ms",
-      Seq("graph", "gamma", "k", "#NC total", "LocalSearch-P", "Forward"), rows))
+    val rows = Eval7.table.run(spark)
     // Locality can only pay off while k NC communities actually exist in a
     // prefix: once k > #NC(graph) every correct algorithm scans everything
     // (see Eval7 doc). Assert the win on the within-budget rows.
@@ -138,9 +115,7 @@ class Eval7Bench extends SparkSpec {
 
 class Eval8Bench extends SparkSpec {
   test("Eval-VIII: gamma-truss community search") {
-    val rows = Eval8.rows(spark)
-    println(Tables.render("Eval-VIII / Fig. 19 -- truss communities (gamma=10), ms",
-      Seq("graph", "k", "LocalSearch-Truss", "GlobalSearch-Truss"), rows))
+    val rows = Eval8.table.run(spark)
     assert(rows.map(_(2).toDouble).sum < rows.map(_(3).toDouble).sum,
       "LocalSearch-Truss beats GlobalSearch-Truss in aggregate")
   }
@@ -148,9 +123,7 @@ class Eval8Bench extends SparkSpec {
 
 class Eval9Bench extends SparkSpec {
   test("Eval-IX: DBLP-like case study") {
-    val rows = Eval9.rows(spark)
-    println(Tables.render("Eval-IX / Figs. 20-21 -- DBLP-like case study",
-      Seq("measure", "value"), rows))
+    val rows = Eval9.table.run(spark)
     val byKey = rows.map(r => r.head.trim -> r(1)).toMap
     assert(byKey("6-truss community inside 5-community of same key") == "true")
     assert(byKey("truss influence <= core influence") == "true")

@@ -76,9 +76,9 @@ object Datasets {
       GraphGen.weightBandedBlocks(nBlocks = 40, blockSize = 24,
         intraDeg = 7, interTotal = 15, seed = 13L))
 
-  /** Largest usable γ for a graph (communities must exist): γ_max − 1 floor
-    * guard used when a sweep's γ exceeds the graph's degeneracy, mirroring
-    * the paper capping Email at γ = 40.
+  /** γ_max: the largest γ with a non-empty γ-core, i.e. the maximum coreness
+    * (0 for an empty graph). Sweeps skip every γ above it, as the paper caps
+    * Email at γ = 40.
     */
   def gammaMax(g: WGraph): Int = {
     val core = repro.graph.GraphOps.coreDecomposition(g)

@@ -62,12 +62,10 @@ object Eval1 {
     }
   }
 
-  def run(spark: SparkSession): String = Seq(
-    Tables.render("Eval-I / Fig. 8 -- vary k (gamma=10), time in ms",
-      Seq("graph", "k", "LocalSearch-P", "Forward", "OnlineAll"), varyK(spark)),
-    Tables.render("Eval-I / Fig. 9 -- vary gamma (k=10), time in ms",
-      Seq("graph", "gamma", "LocalSearch-P", "Forward", "OnlineAll"), varyGamma(spark)),
-    Tables.render("Eval-I / Fig. 10 -- large k and gamma, time in ms",
-      Seq("graph", "k", "gamma", "LocalSearch-P", "Forward"), largeParams(spark)),
-  ).mkString("\n\n")
+  val fig8 = Table("Eval-I / Fig. 8 -- vary k (gamma=10), time in ms",
+    Seq("graph", "k", "LocalSearch-P", "Forward", "OnlineAll"), varyK)
+  val fig9 = Table("Eval-I / Fig. 9 -- vary gamma (k=10), time in ms",
+    Seq("graph", "gamma", "LocalSearch-P", "Forward", "OnlineAll"), varyGamma)
+  val fig10 = Table("Eval-I / Fig. 10 -- large k and gamma, time in ms",
+    Seq("graph", "k", "gamma", "LocalSearch-P", "Forward"), largeParams)
 }

@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.GraphOps
 
 /** Table 1: statistics of the (stand-in) graphs — #vertices, #edges, d_max,
   * d_avg, γ_max (largest γ with a non-empty γ-core = max coreness).
@@ -14,14 +13,11 @@ object Table1 {
       val degrees = (0 until g.n).map(u => g.adjHi(u).length + g.adjLo(u).length)
       val dMax = if (g.n == 0) 0 else degrees.max
       val dAvg = if (g.n == 0) 0.0 else degrees.sum.toDouble / g.n
-      val gammaMax = if (g.n == 0) 0 else GraphOps.coreDecomposition(g).max
       val paper = Datasets.specs.find(_.name == name).map(_.paperName).getOrElse("DBLP")
       Seq(name, paper, g.n.toString, g.m.toString, dMax.toString,
-          f"$dAvg%.2f", gammaMax.toString)
+          f"$dAvg%.2f", Datasets.gammaMax(g).toString)
     }
 
-  def run(spark: SparkSession): String =
-    Tables.render("Table 1 -- graph statistics (stand-ins)",
-      Seq("graph", "paper graph", "#vertices", "#edges", "d_max", "d_avg", "gamma_max"),
-      rows(spark))
+  val table = Table("Table 1 -- graph statistics (stand-ins)",
+    Seq("graph", "paper graph", "#vertices", "#edges", "d_max", "d_avg", "gamma_max"), rows)
 }

@@ -29,22 +29,18 @@ object Timing {
     }
   }
 
+  /** [[measure]]'s protocol for a body that returns several elapsed times,
+    * such as the time to each report of one walk: a warm-up run, then the
+    * median of three runs at each position.
+    */
+  def medians(body: => Seq[Double]): Seq[Double] = {
+    body // warm-up (JIT)
+    Seq.fill(3)(body).transpose.map(ts => ts.sorted.apply(1))
+  }
+
   /** Milliseconds only. */
   def ms[A](body: => A): Double = measure(body)._2
 
   def fmt(ms: Double): String =
     if (ms >= 100) f"$ms%.0f" else if (ms >= 1) f"$ms%.2f" else f"$ms%.3f"
-}
-
-/** Minimal fixed-width table rendering for bench output / EXPERIMENTS.md. */
-object Tables {
-
-  def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
-    val all = header +: rows
-    val widths = header.indices.map(c => all.map(_(c).length).max)
-    def line(cells: Seq[String]): String =
-      cells.zip(widths).map { case (s, w) => s.padTo(w, ' ') }.mkString("| ", " | ", " |")
-    val sep = widths.map("-" * _).mkString("|-", "-|-", "-|")
-    (s"### $title" +: line(header) +: sep +: rows.map(line)).mkString("\n")
-  }
 }
