@@ -40,20 +40,10 @@ object Forward {
       count += 1
       batch.clear()
       peeler.remove(u, batch)
-      if (nc && isNcBatch(g, peeler, batch)) ncCount += 1
+      if (nc && !peeler.touchesAlive(batch, 0)) ncCount += 1
       u = peeler.nextKeynode()
     }
     (count, ncCount)
-  }
-
-  private def isNcBatch(g: WGraph, peeler: Peeler, batch: IntArrayList): Boolean = {
-    var isNc = true
-    var i = 0
-    while (isNc && i < batch.length) {
-      g.foreachNeighborIn(batch(i), g.n) { w => if (peeler.alive(w)) isNc = false }
-      i += 1
-    }
-    isNc
   }
 
   /** Pass 2: skip the first total−k keynodes, then compute components. */
@@ -88,7 +78,7 @@ object Forward {
     while (u >= 0) {
       batch.clear()
       peeler.remove(u, batch)
-      if (isNcBatch(g, peeler, batch)) {
+      if (!peeler.touchesAlive(batch, 0)) {
         if (seenNc >= skip) out += Community.of(g, u, batch.toArray)
         seenNc += 1
       }

@@ -84,44 +84,66 @@ final class CommunityIndex(val g: WGraph) {
   /** EnumIC: link keys `[fromIdx, res.count)` of one CvsResult. `p` is the
     * prefix the CvsResult was computed over (bounds the neighbour scans). For
     * plain EnumIC on the last k keys pass `fromIdx = res.count - k`;
-    * LocalSearch-P passes 0 for each segment.
+    * LocalSearch-P passes 0 for each segment. The neighbour loops are written
+    * out, not passed as a closure (see [[repro.graph.Peeler]]).
     */
-  def process(res: CvsResult, p: Int, fromIdx: Int = 0): Unit =
-    link(res, fromIdx) { v => claim(v); g.foreachNeighborIn(v, p)(adjacent) }
-
-  /** EnumICC: link keys `[fromIdx, res.count)` of one γ-truss peel. */
-  private[core] def processEdges(res: TrussCvs, fromIdx: Int): Unit =
-    link(res, fromIdx) { e => claim(res.eA(e)); claim(res.eB(e)) }
-
-  /** Link the keys `[fromIdx, res.count)` in decreasing weight order, passing
-    * every entry of each key's group to `entry`.
-    */
-  private def link(res: KeyedCvs, fromIdx: Int)(entry: Int => Unit): Unit = {
+  def process(res: CvsResult, p: Int, fromIdx: Int = 0): Unit = {
     var i = res.count - 1
     while (i >= fromIdx) {
-      cur = res.keys(i)
-      ds.makeRoot(cur)
-      if (keyIdx.length < ds.capacity) keyIdx = java.util.Arrays.copyOf(keyIdx, ds.capacity)
-      keyIdx(cur) = sizes.length
-      pool.add(cur)
-      curSize = 1
+      open(res.keys(i))
       var j = res.keyPos(i)
       val end = res.groupEnd(i)
-      while (j < end) { entry(res.cvs(j)); j += 1 }
-      grpOff.add(pool.length)
-      chOff.add(chList.length)
-      sizes.add(curSize)
+      while (j < end) {
+        val v = res.cvs(j)
+        claim(v)
+        // v is adjacent to the rest of the group: whatever holds a neighbour is a child.
+        val h = g.adjHi(v)
+        var a = 0
+        while (a < h.length) { if (ds.assigned(h(a))) linkRootOf(h(a)); a += 1 }
+        val l = g.adjLo(v)
+        a = 0
+        while (a < l.length && l(a) < p) { if (ds.assigned(l(a))) linkRootOf(l(a)); a += 1 }
+        j += 1
+      }
+      close()
       i -= 1
     }
+  }
+
+  /** EnumICC: link keys `[fromIdx, res.count)` of one γ-truss peel. */
+  private[core] def processEdges(res: TrussCvs, fromIdx: Int): Unit = {
+    var i = res.count - 1
+    while (i >= fromIdx) {
+      open(res.keys(i))
+      var j = res.keyPos(i)
+      val end = res.groupEnd(i)
+      while (j < end) { val e = res.cvs(j); claim(res.eA(e)); claim(res.eB(e)); j += 1 }
+      close()
+      i -= 1
+    }
+  }
+
+  /** Start the node of key `u`; keys are opened in decreasing weight order. */
+  private def open(u: Int): Unit = {
+    cur = u
+    ds.makeRoot(cur)
+    if (keyIdx.length < ds.capacity) keyIdx = java.util.Arrays.copyOf(keyIdx, ds.capacity)
+    keyIdx(cur) = sizes.length
+    pool.add(cur)
+    curSize = 1
+  }
+
+  /** Finish the current key's node after all its members and children. */
+  private def close(): Unit = {
+    grpOff.add(pool.length)
+    chOff.add(chList.length)
+    sizes.add(curSize)
   }
 
   /** `v` is a member of the current key's community. */
   private def claim(v: Int): Unit =
     if (ds.assigned(v)) linkRootOf(v)
     else { ds.assign(v, cur); pool.add(v); curSize += 1 }
-
-  /** `v` is adjacent to the current key's group: whatever holds it is a child. */
-  private val adjacent: Int => Unit = v => if (ds.assigned(v)) linkRootOf(v)
 
   /** Roots are always key ranks, so `find(v)` names the smallest (so far)
     * keynode whose community holds v, and re-rooting it under the current

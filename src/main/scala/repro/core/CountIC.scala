@@ -79,16 +79,8 @@ object CountIC {
       keys.add(u)
       val before = cvs.length
       peeler.remove(u, cvs)
-      if (trackNc) {
-        // NC check: the removed batch must have no surviving neighbour.
-        var isNc = true
-        var i = before
-        while (isNc && i < cvs.length) {
-          g.foreachNeighborIn(cvs(i), p) { w => if (peeler.alive(w)) isNc = false }
-          i += 1
-        }
-        ncFlags.add(if (isNc) 1 else 0)
-      }
+      // NC check: the removed batch must have no surviving neighbour.
+      if (trackNc) ncFlags.add(if (peeler.touchesAlive(cvs, before)) 0 else 1)
       u = peeler.nextKeynode()
     }
     CvsResult(keys.toArray, keyPos.toArray, cvs.toArray,

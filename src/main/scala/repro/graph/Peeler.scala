@@ -80,31 +80,69 @@ final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
     var visits = 0L
     var top = 0
     while (top < out.length) {
-      g.foreachNeighborIn(out(top), p) { w =>
-        visits += 1
-        if (alive(w) && mark(w) != curMark) { mark(w) = curMark; out.add(w) }
-      }
+      val v = out(top)
+      val h = g.adjHi(v)
+      var i = 0
+      while (i < h.length) { reach(h(i), out); i += 1 }
+      val l = g.adjLo(v)
+      i = 0
+      while (i < l.length && l(i) < p) { reach(l(i), out); i += 1 }
+      visits += i + h.length
       top += 1
     }
     visits
   }
 
+  private def reach(w: Int, out: IntArrayList): Unit =
+    if (alive(w) && mark(w) != curMark) { mark(w) = curMark; out.add(w) }
+
+  /** Whether some vertex of `vs[from, vs.length)` has an alive neighbour: a
+    * removed batch without one is a non-containment group (§5.1). Stops at
+    * the first alive neighbour.
+    */
+  def touchesAlive(vs: IntArrayList, from: Int): Boolean = {
+    var j = from
+    while (j < vs.length) {
+      val v = vs(j)
+      val h = g.adjHi(v)
+      var i = 0
+      while (i < h.length) { if (alive(h(i))) return true; i += 1 }
+      val l = g.adjLo(v)
+      i = 0
+      while (i < l.length && l(i) < p) { if (alive(l(i))) return true; i += 1 }
+      j += 1
+    }
+    false
+  }
+
+  // The neighbour loops here and in CommunityIndex are written out over
+  // adjHi/adjLo rather than through WGraph.foreachNeighborIn: that method's
+  // one call site of its closure would see every loop's lambda class, and a
+  // megamorphic call per neighbour visit is most of a peel's time.
   private def drain(cvs: IntArrayList): Unit = {
     while (!queue.isEmpty) {
       val v = queue.pop()
-      g.foreachNeighborIn(v, p) { w =>
-        if (alive(w)) {
-          // Pushed exactly when the degree sits at γ (about to fall below):
-          // a vertex's degree passes through γ at most once, so no re-push.
-          if (deg(w) == gamma) queue.push(w)
-          deg(w) -= 1
-        }
-      }
+      val h = g.adjHi(v)
+      var i = 0
+      while (i < h.length) { lower(h(i)); i += 1 }
+      val l = g.adjLo(v)
+      i = 0
+      while (i < l.length && l(i) < p) { lower(l(i)); i += 1 }
       alive(v) = false
       aliveCount -= 1
       if (cvs != null) cvs.add(v)
     }
   }
+
+  /** A neighbour of a removed vertex loses one degree. It is queued exactly
+    * when its degree sits at γ (about to fall below): a vertex's degree
+    * passes through γ at most once, so no re-push.
+    */
+  private def lower(w: Int): Unit =
+    if (alive(w)) {
+      if (deg(w) == gamma) queue.push(w)
+      deg(w) -= 1
+    }
 }
 
 /** Read-only graph algorithms shared by baselines, stats and tests. */

@@ -62,7 +62,10 @@ final class WGraph private[graph] (
     lo
   }
 
-  /** Visit every neighbour of `u` inside the top-`p` prefix. */
+  /** Visit every neighbour of `u` inside the top-`p` prefix. Used off the
+    * query path only: its one call of `f` would see every caller's lambda
+    * class, so the query path's loops are written out (see [[Peeler]]).
+    */
   def foreachNeighborIn(u: Int, p: Int)(f: Int => Unit): Unit = {
     val h = adjHi(u)
     var i = 0

@@ -20,6 +20,13 @@ import repro.graph.{PrefixEdges, WGraph}
   * endpoint — is the paper's edge-weight sort key, so the edges of the top-p
   * prefix `G≥τ` are the entries below `p << 32`, and the edges a prefix gains
   * when it grows from `p0` to `p` are one binary-searched slice per partition.
+  *
+  * The edge RDD is locally checkpointed: its lineage (the SQL plan of the
+  * input and the packing closure, which holds O(n) id arrays) is cut when
+  * the store is built, so each [[fetch]] job ships a task of a few KB rather
+  * than one that grows with n. The price is Spark's for every local
+  * checkpoint: the partitions live only in the executors' block stores, so
+  * a lost executor loses the store, which must then be rebuilt.
   */
 final class SparkGraphStore private (
     private[spark] val spark: SparkSession,
@@ -27,8 +34,10 @@ final class SparkGraphStore private (
     protected val origId: Array[Long],
     /** Weight by rank; non-increasing. */
     protected val weights: Array[Double],
-    /** One ascending array of packed edges per partition; persisted. */
-    packed: RDD[Array[Long]],
+    /** One ascending array of packed edges per partition; persisted and
+      * locally checkpointed.
+      */
+    private[spark] val packed: RDD[Array[Long]],
     /** cumEdges(p) = number of edge rows with maxRank < p (length n+1). */
     val cumEdges: Array[Long],
 ) extends PrefixEdges {
@@ -108,7 +117,7 @@ object SparkGraphStore {
     (1 until n).find(i => sortedIds(i) == sortedIds(i - 1)).foreach { i =>
       throw new IllegalArgumentException(s"vertex id ${sortedIds(i)} appears twice in the weight table")
     }
-    val packed = edgesDf.select(col("src").cast("long"), col("dst").cast("long")).rdd
+    val packing = edgesDf.select(col("src").cast("long"), col("dst").cast("long")).rdd
       .mapPartitions { it =>
         val b = Array.newBuilder[Long]
         it.foreach { r =>
@@ -126,9 +135,14 @@ object SparkGraphStore {
         java.util.Arrays.sort(a)
         Iterator.single(a)
       }
-      .persist(StorageLevel.MEMORY_AND_DISK)
+    // A child of the packing RDD holds the arrays; once the first job below
+    // has filled it, its lineage is cut, so the tasks of later jobs carry
+    // neither the plan nor the packing closure.
+    val packed = packing.map(identity).persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint()
 
     // Per-partition (maxRank, count) runs, packed as maxRank << 32 | count.
+    // The first job over the edges: it packs them, fills `packed` and cuts
+    // its lineage.
     val runs = spark.sparkContext.runJob(packed, (it: Iterator[Array[Long]]) => {
       val a = it.next()
       val b = Array.newBuilder[Long]

@@ -88,10 +88,15 @@ class CountICSpec extends AnyFunSuite {
     test(s"NC flags match the naive non-containment test (seed=$seed)") {
       val g = GraphGen.localRandom(40, 5.0, seed)
       val gamma = 3
-      val res = CountIC.run(g, g.n, gamma, trackNc = true)
-      val expected = Naive.ncKeynodes(g, gamma).toSet
-      val flagged = res.keys.indices.filter(res.nc(_)).map(res.keys(_)).toSet
-      assert(flagged == expected)
+      val expected = Naive.ncKeynodes(g, gamma)
+      // Strict prefixes too, where the neighbour scans stop at rank p: half
+      // the graph, and the smallest prefix that holds a keynode.
+      val prefixes = Seq(g.n, g.n / 2) ++ Naive.keynodes(g, gamma).minOption.map(_ + 1)
+      for (p <- prefixes) {
+        val res = CountIC.run(g, p, gamma, trackNc = true)
+        val flagged = res.keys.indices.filter(res.nc(_)).map(res.keys(_)).toSet
+        assert(flagged == expected.filter(_ < p).toSet, s"p = $p")
+      }
     }
 
   test("paperLike NC keynodes are exactly the two cliques'") {

@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.SparkEnv
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
@@ -159,6 +160,22 @@ class SparkLayerSpec extends SparkSpec {
     val w = Seq((1L, 1.0), (2L, Double.NaN)).toDF("id", "weight")
     val err = intercept[IllegalArgumentException](SparkGraphStore.build(spark, e, w))
     assert(err.getMessage.contains("vertex 2 has a NaN weight"), err.getMessage)
+  }
+
+  test("the store's edge RDD serialises small, whatever the graph's size") {
+    // A fetch job's task carries the RDD: with its lineage cut in build, it
+    // holds neither the input's plan nor the packing closure's id arrays.
+    val bigEdges = GraphGen.rmat(spark, scale = 12, edgeFactor = 4.0, seed = 6L)
+    val ids = bigEdges.select($"src".as("id")).union(bigEdges.select($"dst".as("id"))).distinct()
+    val big = SparkGraphStore.build(spark, bigEdges, ids.select($"id", $"id".cast("double").as("weight")))
+    try {
+      assert(big.n > 4 * store.n)
+      val ser = SparkEnv.get.closureSerializer.newInstance()
+      for (s <- Seq(store, big)) {
+        val bytes = ser.serialize(s.packed).limit()
+        assert(bytes < 8192, s"n = ${s.n}: $bytes B")
+      }
+    } finally big.unpersist()
   }
 
   test("an edge listed in both directions counts once in the prefix graphs") {
