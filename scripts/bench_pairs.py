@@ -12,9 +12,10 @@ each checkout with the same seed and BENCHMARK.json's `run_seconds` as T,
 the base first in even pairs and the working tree first in odd ones. Every
 run's metrics go to
 `<workdir>/runs.jsonl`, its standard error (per-fork figures) to
-`<workdir>/logs/`. Then, per workload and end-to-end metric of
-BENCHMARK.json, it prints each side's median and quartiles, the pairs the
-working tree won, and a verdict:
+`<workdir>/logs/`. Then, per workload, it prints each run's per-fork
+`topk p50` read back from that log, so a pair lost to one slow JVM shows,
+and, per end-to-end metric of BENCHMARK.json, each side's median and
+quartiles, the pairs the working tree won, and a verdict:
 
 - improved: won at least nine tenths of the pairs (ties count for neither),
   and the medians differ, in the better direction, by more than the base
@@ -26,11 +27,13 @@ working tree won, and a verdict:
   bound;
 - no worse: otherwise.
 
-The verdict rule's tests: `python3 -m doctest scripts/bench_pairs.py`.
+The verdict rule's and the log parser's tests:
+`python3 -m doctest scripts/bench_pairs.py`.
 The script reads BENCHMARK.json and writes only under `--workdir`.
 """
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +128,21 @@ def parse_seeds(text):
     return seeds
 
 
+def fork_topk_p50(log):
+    """The per-fork `topk p50` figures (ms), in fork order, from the standard
+    error of one benchmark run.
+
+    >>> fork_topk_p50("[icbench] warm-up reached its pass cap in 1 of 3 forks\\n"
+    ...               "[icbench] fork 0: topk p50 0.0112 ms, tail p99 of N=40 (0 beyond) "
+    ...               "0.2100 ms; first p50 0.0030 ms; progressive p50 0.0130 ms; 900.0 queries/s\\n"
+    ...               "[icbench] fork 1: topk p50 0.0171 ms, tail p99 of N=40 ...\\n")
+    [0.0112, 0.0171]
+    >>> fork_topk_p50("[icbench] fork 0 exited with 1\\n")
+    []
+    """
+    return [float(x) for x in re.findall(r"^\[icbench\] fork \d+: topk p50 (\S+) ms", log, re.M)]
+
+
 def run_once(checkout, workload, seed, seconds, log):
     """One benchmark run; its metrics line, or None when the run failed."""
     with open(log, "w") as err:
@@ -138,8 +156,8 @@ def run_once(checkout, workload, seed, seconds, log):
     return json.loads(lines[-1])
 
 
-def report(bench, runs, workload):
-    """Print the comparison table of one workload."""
+def report(bench, runs, workload, logs):
+    """Print the per-fork view and the comparison table of one workload."""
     pairs = {}
     for r in runs:
         if r["workload"] == workload:
@@ -154,6 +172,13 @@ def report(bench, runs, workload):
               f"failed {failed} of {attempted}")
     if not done:
         return
+    print("Per-fork topk p50 (ms), base | change:")
+    for p in done:
+        seed = next(r["seed"] for r in runs if r["workload"] == workload and r["pair"] == p)
+        forks = {side: fork_topk_p50((logs / f"{workload}-{p}-{seed}-{side}.err").read_text())
+                 for side in ("base", "change")}
+        print(f"  pair {p} seed {seed}: " + " | ".join(
+            " ".join(f"{x:.4g}" for x in forks[side]) for side in ("base", "change")))
     print("| metric | base median [q1, q3] | change median [q1, q3] | wins | verdict |")
     print("|---|---|---|---|---|")
     for m in bench["end_to_end"]:
@@ -201,7 +226,7 @@ def main():
                                         "side": side, "result": result}) + "\n")
     runs = [json.loads(line) for line in open(store)]
     for workload in workloads:
-        report(bench, runs, workload)
+        report(bench, runs, workload, args.workdir / "logs")
     return 0
 
 

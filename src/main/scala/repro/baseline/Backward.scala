@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Community, CommunityIndex, CountIC, LocalSearch, SearchStats}
+import repro.core.{Community, LocalSearch, SearchStats}
 import repro.graph.WGraph
 
 /** The Backward local search baseline [Chen et al., CIKM'16].
@@ -14,9 +14,6 @@ import repro.graph.WGraph
 object Backward {
 
   /** Top-k communities in decreasing influence order, with work stats. */
-  def topK(g: WGraph, k: Int, gamma: Int): (Seq[Community], SearchStats) = {
-    // Vertex-at-a-time growth: the quadratic-cost signature.
-    val (res, stats) = LocalSearch.search(g, k, gamma, _ + 1)(CountIC.run(g, _, gamma))(_.count)
-    (CommunityIndex.topK(g, res, stats.finalPrefix, k), stats)
-  }
+  def topK(g: WGraph, k: Int, gamma: Int): (Seq[Community], SearchStats) =
+    LocalSearch.topKOf(g, k, gamma, _ + 1) // vertex-at-a-time growth: the quadratic-cost signature
 }

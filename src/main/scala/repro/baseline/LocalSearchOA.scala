@@ -14,7 +14,7 @@ object LocalSearchOA {
 
   /** Top-k communities in decreasing influence order, with stats. */
   def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    val (_, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta))(countViaComponents(g, _, gamma))(identity)
+    val (_, _, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta))(countViaComponents(_, _, gamma))(identity)
     // Final answer via the shared enumeration (identical to LocalSearch).
     val p = stats.finalPrefix
     (CommunityIndex.topK(g, CountIC.run(g, p, gamma), p, k), stats)

@@ -57,7 +57,7 @@ object LocalSearchSE {
 
   def topK(g: WGraph, store: EdgeStore, k: Int, gamma: Int,
            delta: Double = 2.0): SeResult = {
-    val (communities, stats) = LocalSearch.searchEdges(store, k, gamma, delta)
+    val (communities, stats) = LocalSearch.topKOf(store, k, gamma, store.deltaStep(delta))
     SeResult(communities, store.edgesRead, g.prefixEdges(stats.finalPrefix))
   }
 }

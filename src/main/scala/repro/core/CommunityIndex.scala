@@ -56,9 +56,9 @@ object Community {
   * get the most runs; other orders walk more of the subtree. The walk uses
   * an explicit stack, so the forest's depth is not bounded by the call stack.
   *
-  * LocalSearch-P reuses one instance across rounds: a later (lower-weight)
-  * round appends its nodes and can link communities reported by earlier
-  * rounds as children.
+  * LocalSearch-P reuses one instance across rounds and links each key when
+  * its iterator reaches it: a later (lower-weight) key can link communities
+  * reported before it, in any round, as children.
   */
 final class CommunityIndex(val g: WGraph) {
 
@@ -81,33 +81,36 @@ final class CommunityIndex(val g: WGraph) {
   private var cur = -1
   private var curSize = 0
 
-  /** EnumIC: link keys `[fromIdx, res.count)` of one CvsResult. `p` is the
-    * prefix the CvsResult was computed over (bounds the neighbour scans). For
-    * plain EnumIC on the last k keys pass `fromIdx = res.count - k`;
-    * LocalSearch-P passes 0 for each segment. The neighbour loops are written
-    * out, not passed as a closure (see [[repro.graph.Peeler]]).
+  /** EnumIC: [[link]] keys `[fromIdx, res.count)` of one CvsResult, from the
+    * highest weight down; for the last k keys pass `fromIdx = res.count - k`.
     */
   def process(res: CvsResult, p: Int, fromIdx: Int = 0): Unit = {
     var i = res.count - 1
-    while (i >= fromIdx) {
-      open(res.keys(i))
-      var j = res.keyPos(i)
-      val end = res.groupEnd(i)
-      while (j < end) {
-        val v = res.cvs(j)
-        claim(v)
-        // v is adjacent to the rest of the group: whatever holds a neighbour is a child.
-        val h = g.adjHi(v)
-        var a = 0
-        while (a < h.length) { if (ds.assigned(h(a))) linkRootOf(h(a)); a += 1 }
-        val l = g.adjLo(v)
-        a = 0
-        while (a < l.length && l(a) < p) { if (ds.assigned(l(a))) linkRootOf(l(a)); a += 1 }
-        j += 1
-      }
-      close()
-      i -= 1
+    while (i >= fromIdx) { link(res, i, p); i -= 1 }
+  }
+
+  /** EnumIC for key `res.keys(i)`, counted over the top-`p` prefix (which
+    * bounds the neighbour scans), once every higher-weight key is linked. The
+    * neighbour loops are written out, not passed as a closure (see
+    * [[repro.graph.Peeler]]).
+    */
+  private[core] def link(res: CvsResult, i: Int, p: Int): Unit = {
+    open(res.keys(i))
+    var j = res.keyPos(i)
+    val end = res.groupEnd(i)
+    while (j < end) {
+      val v = res.cvs(j)
+      claim(v)
+      // v is adjacent to the rest of the group: whatever holds a neighbour is a child.
+      val h = g.adjHi(v)
+      var a = 0
+      while (a < h.length) { if (ds.assigned(h(a))) linkRootOf(h(a)); a += 1 }
+      val l = g.adjLo(v)
+      a = 0
+      while (a < l.length && l(a) < p) { if (ds.assigned(l(a))) linkRootOf(l(a)); a += 1 }
+      j += 1
     }
+    close()
   }
 
   /** EnumICC: link keys `[fromIdx, res.count)` of one γ-truss peel. */
@@ -191,6 +194,9 @@ final class CommunityIndex(val g: WGraph) {
     out
   }
 
+  /** The number of keys linked so far, one forest node each. */
+  private[core] def linked: Int = sizes.length
+
   /** The ids the slots hold now: at most the prefix. */
   private[core] def keptIds: Long = slots.iterator.filter(_ != null).map(_.length.toLong).sum
 
@@ -214,12 +220,6 @@ final class CommunityIndex(val g: WGraph) {
         if (covered(c)) ids else { slots(c) = ids; ids.clone() }
       }
     Community(g.origId(key), g.weights(key), members)
-  }
-
-  /** The §5.1 non-containment community of an NC keynode: exactly gp(u). */
-  def ncCommunity(key: Int): Community = {
-    val c = keyIdx(key)
-    Community.of(g, key, pool.slice(grpOff(c), grpOff(c + 1)))
   }
 }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{PrefixEdges, PrefixSizes, WGraph}
+import repro.graph.{PrefixSizes, WGraph}
 
 /** Execution statistics for the analysis of §3.3 and the benches.
   *
@@ -12,6 +12,9 @@ import repro.graph.{PrefixEdges, PrefixSizes, WGraph}
 final case class SearchStats(rounds: Int, finalPrefix: Int,
                              accessedSize: Long, workSize: Long)
 
+/** Round `index` (from 1) of a δ-growth search, grown from `from` ranks: `graph`'s top-`p` prefix is G≥τ. */
+private[repro] final case class Round(index: Int, from: Int, p: Int, graph: WGraph)
+
 /** Algorithm 1: the instance-optimal LocalSearch for top-k influential
   * γ-community search.
   *
@@ -20,15 +23,20 @@ final case class SearchStats(rounds: Int, finalPrefix: Int,
   * communities with [[CountIC]], and grows the prefix by the ratio δ (line 4)
   * until it contains ≥ k communities or equals G; the answer is then
   * enumerated from the final prefix with [[CommunityIndex]] (EnumIC). The
-  * loop itself is [[LocalSearch.search]], which every local search of the
-  * reproduction runs with its own counter, prefix source or growth step.
+  * prefixes come from [[LocalSearch.rounds]], which every local search of the
+  * reproduction takes, with its own counter, prefix source or growth step.
   */
 object LocalSearch {
 
   /** Top-k influential γ-communities in decreasing influence order. */
-  def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    val (res, stats) = search(g, k, gamma, g.deltaStep(delta))(CountIC.run(g, _, gamma))(_.count)
-    (CommunityIndex.topK(g, res, stats.finalPrefix, k), stats)
+  def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0): (Seq[Community], SearchStats) =
+    topKOf(g, k, gamma, g.deltaStep(delta))
+
+  /** [[topK]] over any prefix source and growth step (LocalSearch-SE, DistLocalSearch, Backward). */
+  private[repro] def topKOf(src: PrefixSizes, k: Int, gamma: Int, step: Int => Int,
+                            onRound: (Int, Int) => Unit = (_, _) => ()): (Seq[Community], SearchStats) = {
+    val (last, res, stats) = search(src, k, gamma, step, onRound)(CountIC.run(_, _, gamma))(_.count)
+    (CommunityIndex.topK(last.graph, res, last.p, k), stats)
   }
 
   /** Top-k *non-containment* influential γ-communities (§5.1). The community
@@ -36,67 +44,52 @@ object LocalSearch {
     */
   def topKNonContainment(g: WGraph, k: Int, gamma: Int,
                          delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    val (res, stats) =
-      search(g, k, gamma, g.deltaStep(delta))(CountIC.run(g, _, gamma, trackNc = true))(_.ncCount)
+    val (_, res, stats) =
+      search(g, k, gamma, g.deltaStep(delta))(CountIC.run(_, _, gamma, trackNc = true))(_.ncCount)
     // The last k NC keys, from the highest weight down.
-    val out = Vector.newBuilder[Community]
-    var found = 0
-    var i = res.count - 1
-    while (i >= 0 && found < k) {
-      if (res.nc(i)) { out += Community.of(g, res.keys(i), res.group(i)); found += 1 }
-      i -= 1
-    }
-    (out.result(), stats)
+    val keys = (res.count - 1 to 0 by -1).iterator.filter(res.nc(_)).take(k)
+    (keys.map(i => Community.of(g, res.keys(i), res.group(i))).toVector, stats)
   }
 
-  /** The search framework of Alg. 1 and Alg. 6, shared by every local search.
-    *
-    * Counts on the `k + γ` prefix, then grows the prefix with `step` and
-    * counts again until `found` reports at least k communities or the prefix
-    * is the whole graph. The caller enumerates the answer from the returned
-    * last count over `stats.finalPrefix` ranks.
-    *
-    * @param sizes prefix sizes of the searched graph (the work statistics)
-    * @param step  next prefix length after `p`, with `p < step(p) ≤ n`: the
-    *              δ-growth of [[PrefixSizes.deltaStep]], or `_ + 1` for Backward
-    * @param count the counter of one round, run on the top-`p` prefix
-    * @param found the number of communities a count found
+  /** The rounds of Alg. 1 and Alg. 4 over `src`: prefixes `min(n, p0)`, then
+    * `step` (`p < step(p) ≤ n`: δ-growth, or `_ + 1` for Backward) until n,
+    * each graph from one `src.prefixes()`, taken when the iterator reaches its
+    * round and just after `onRound(index, p)`.
     */
-  private[repro] def search[R](sizes: PrefixSizes, k: Int, gamma: Int, step: Int => Int)
-                             (count: Int => R)(found: R => Int): (R, SearchStats) = {
+  private[repro] def rounds(src: PrefixSizes, p0: Long, step: Int => Int,
+                            onRound: (Int, Int) => Unit = (_, _) => ()): Iterator[Round] = new Iterator[Round] {
+    private val prefix = src.prefixes()
+    private var last = Round(0, 0, 0, null) // round 0: the empty prefix
+
+    def hasNext: Boolean = last.index == 0 || last.p < src.n
+
+    def next(): Round = {
+      val p = if (last.index == 0) math.min(src.n.toLong, p0).toInt else step(last.p)
+      onRound(last.index + 1, p)
+      last = Round(last.index + 1, last.p, p, prefix(p))
+      last
+    }
+  }
+
+  /** The search framework of Alg. 1 and Alg. 6, shared by every top-k local
+    * search: `count`s the [[rounds]] from the `k + γ` prefix until `found`
+    * reports at least k communities or the prefix is the whole graph. The
+    * caller enumerates the answer from the last round and its count.
+    */
+  private[repro] def search[R](src: PrefixSizes, k: Int, gamma: Int, step: Int => Int,
+                               onRound: (Int, Int) => Unit = (_, _) => ())
+                              (count: (WGraph, Int) => R)(found: R => Int): (Round, R, SearchStats) = {
     requireArgs(k, gamma)
-    var p = math.min(sizes.n.toLong, k.toLong + gamma).toInt // k + γ overflows Int
-    var res = count(p)
-    var rounds = 1
-    var work = sizes.prefixSize(p)
-    while (found(res) < k && p < sizes.n) {
-      p = step(p)
-      res = count(p)
-      rounds += 1
-      work += sizes.prefixSize(p)
+    val it = rounds(src, k.toLong + gamma, step, onRound) // k + γ overflows Int
+    var last = it.next()
+    var res = count(last.graph, last.p)
+    var work = src.prefixSize(last.p)
+    while (found(res) < k && it.hasNext) {
+      last = it.next()
+      res = count(last.graph, last.p)
+      work += src.prefixSize(last.p)
     }
-    (res, SearchStats(rounds, p, sizes.prefixSize(p), work))
-  }
-
-  /** Alg. 1 over an edge store (LocalSearch-SE, DistLocalSearch): each round
-    * fetches only the edges its prefix gained, builds the prefix from every
-    * edge held and counts on it. `onRound(round, p)` runs before the fetch.
-    */
-  private[repro] def searchEdges(src: PrefixEdges, k: Int, gamma: Int, delta: Double,
-                                 onRound: (Int, Int) => Unit = (_, _) => ()): (Seq[Community], SearchStats) = {
-    var edges = Array.emptyLongArray
-    var fetched = 0
-    var rounds = 0
-    var prefix: WGraph = null
-    val (res, stats) = search(src, k, gamma, src.deltaStep(delta)) { p =>
-      rounds += 1
-      onRound(rounds, p)
-      edges ++= src.fetch(fetched, p)
-      fetched = p
-      prefix = src.prefixGraph(p, edges)
-      CountIC.run(prefix, p, gamma)
-    }(_.count)
-    (CommunityIndex.topK(prefix, res, stats.finalPrefix, k), stats)
+    (last, res, SearchStats(last.index, last.p, src.prefixSize(last.p), work))
   }
 
   /** The argument checks of every top-k entry point. */

@@ -157,7 +157,7 @@ object Truss {
   /** Alg. 6 instantiated for γ-truss: LocalSearch-Truss. */
   def localSearchTopK(g: WGraph, k: Int, gamma: Int,
                       delta: Double = 2.0): (Seq[Community], SearchStats) = {
-    val (res, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta))(countICC(g, _, gamma))(_.count)
+    val (_, res, stats) = LocalSearch.search(g, k, gamma, g.deltaStep(delta))(countICC(_, _, gamma))(_.count)
     (enumICC(g, stats.finalPrefix, res, k), stats)
   }
 

@@ -1,9 +1,9 @@
 package repro.graph
 
-/** A graph in the weight-rank layout seen only through the sizes of its
-  * top-`p` prefixes `G≥τ`: all that the δ-growth of Alg. 1 needs to pick the
-  * next prefix. Implemented by the local [[WGraph]] and by the Spark store,
-  * which answers from a driver-resident histogram without touching the edges.
+/** A graph in the weight-rank layout seen through its top-`p` prefixes
+  * `G≥τ`: their sizes, all that the δ-growth of Alg. 1 needs to pick the next
+  * prefix, and the prefix graphs. Implemented by the local [[WGraph]] and by
+  * the edge stores, whose sizes come from a histogram held in memory.
   */
 trait PrefixSizes {
 
@@ -32,6 +32,9 @@ trait PrefixSizes {
     lo
   }
 
+  /** One query's prefix graphs: `prefix(p)`, for non-decreasing `p`, has `G≥τ` as its top-`p` prefix. */
+  def prefixes(): Int => WGraph
+
   /** Line 4 of Alg. 1 as a step function: grow `G≥τ` until its size is at
     * least δ times the current one, by at least one vertex and at most to G.
     * δ is checked here, once, when the step is made.
@@ -53,9 +56,14 @@ trait PrefixEdges extends PrefixSizes {
   /** The edges whose maxRank lies in `[fromRank, untilRank)`. */
   def fetch(fromRank: Int, untilRank: Int): Array[Long]
 
-  /** The top-`p` prefix, given every edge with maxRank < p (in any order,
-    * repeats allowed); sorts `edges` in place.
-    */
-  def prefixGraph(p: Int, edges: Array[Long]): WGraph =
-    WGraph.fromPacked(java.util.Arrays.copyOf(weights, p), java.util.Arrays.copyOf(origId, p), edges, edges.length)
+  /** Fetches only the edges each call's prefix gained and builds it from every edge held, each once. */
+  def prefixes(): Int => WGraph = {
+    var edges = Array.emptyLongArray
+    var fetched = 0
+    p => {
+      edges ++= fetch(fetched, p)
+      fetched = p
+      WGraph.fromPacked(java.util.Arrays.copyOf(weights, p), java.util.Arrays.copyOf(origId, p), edges, edges.length)
+    }
+  }
 }

@@ -48,6 +48,9 @@ final class WGraph private[graph] (
   /** size of the prefix subgraph on the top-`p` ranks. */
   def prefixSize(p: Int): Long = cumSize(p)
 
+  /** A local graph is its own prefix. */
+  def prefixes(): Int => WGraph = _ => this
+
   /** Degree of rank `u` within the top-`p` prefix (requires `u < p`). */
   def degIn(u: Int, p: Int): Int = adjHi(u).length + countBelow(adjLo(u), p)
 

@@ -62,7 +62,7 @@ final class SparkGraphStore private (
   }
 
   /** Pull the top-`p` prefix out of the cluster as a local [[WGraph]]. */
-  def collectPrefix(p: Int): WGraph = prefixGraph(p, fetch(0, p))
+  def collectPrefix(p: Int): WGraph = prefixes()(p)
 
   /** The whole graph, local. */
   def toLocal: WGraph = collectPrefix(n)

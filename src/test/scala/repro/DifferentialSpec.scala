@@ -2,7 +2,7 @@ package repro
 
 import repro.baseline.{Backward, EdgeStore, Forward, LocalSearchOA, LocalSearchSE, OnlineAll}
 import repro.core.{Community, LocalSearch, LocalSearchP, Truss}
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.graph.WGraph
 import repro.ref.Naive
 import repro.spark.{DistLocalSearch, SparkGraphStore}
@@ -17,7 +17,7 @@ class DifferentialSpec extends SparkSpec {
   private def asPairs(cs: Seq[Community]) = cs.map(c => (c.influence, c.members.toSeq))
 
   private val graphs: Seq[(String, WGraph)] = {
-    val base = GraphGen.localRandom(40, 6.0, 9)
+    val base = LocalGen.localRandom(40, 6.0, 9)
     Seq(
       "empty" -> WGraph(Nil, Nil),
       "single vertex" -> WGraph(Seq(7L -> 1.0), Nil),
@@ -32,8 +32,8 @@ class DifferentialSpec extends SparkSpec {
       "id-local band" -> WGraph(
         new scala.util.Random(5).shuffle((0L until 60L).toVector).zipWithIndex.map { case (v, w) => v -> w.toDouble },
         for (v <- 1L until 60L; d <- 1L to math.min(v, 4L)) yield (v - d, v)),
-    ) ++ (1 to 3).map(s => s"random seed=$s" -> GraphGen.localRandom(40, 5.0, s)) ++
-      (1 to 2).map(s => s"power-law seed=$s" -> GraphGen.localPowerLaw(80, 5, s))
+    ) ++ (1 to 3).map(s => s"random seed=$s" -> LocalGen.localRandom(40, 5.0, s)) ++
+      (1 to 2).map(s => s"power-law seed=$s" -> LocalGen.localPowerLaw(80, 5, s))
   }
 
   private val ks = Seq(1, 3, Int.MaxValue)
@@ -78,7 +78,7 @@ class DifferentialSpec extends SparkSpec {
 
   test("DistLocalSearch agrees with Naive and LocalSearch on a small store") {
     import spark.implicits._
-    val g = GraphGen.localPowerLaw(80, 5, 3)
+    val g = LocalGen.localPowerLaw(80, 5, 3)
     val edges = (for (u <- 0 until g.n; v <- g.adjHi(u)) yield (g.origId(u), g.origId(v))).toDF("src", "dst")
     val weights = g.origId.indices.map(r => (g.origId(r), g.weights(r))).toDF("id", "weight")
     val store = SparkGraphStore.build(spark, edges, weights)

@@ -3,7 +3,7 @@ package repro.baseline
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.core.{Community, LocalSearch}
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.ref.Naive
 
 class BaselinesSpec extends AnyFunSuite {
@@ -24,7 +24,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   for (seed <- 1 to 6; gamma <- 2 to 4)
     test(s"OnlineAll matches naive (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localRandom(40, 5.0, seed)
+      val g = LocalGen.localRandom(40, 5.0, seed)
       val (got, _) = OnlineAll.topK(g, 5, gamma)
       assert(asPairs(got) == asPairs(Naive.topK(g, 5, gamma)))
     }
@@ -37,13 +37,13 @@ class BaselinesSpec extends AnyFunSuite {
 
   for (seed <- 1 to 6; gamma <- 2 to 4; k <- Seq(1, 4))
     test(s"Forward matches naive (seed=$seed γ=$gamma k=$k)") {
-      val g = GraphGen.localRandom(40, 5.0, seed)
+      val g = LocalGen.localRandom(40, 5.0, seed)
       assert(asPairs(Forward.topK(g, k, gamma)) == asPairs(Naive.topK(g, k, gamma)))
     }
 
   for (seed <- 1 to 5)
     test(s"Forward NC matches naive NC (seed=$seed)") {
-      val g = GraphGen.localRandom(40, 5.0, seed)
+      val g = LocalGen.localRandom(40, 5.0, seed)
       assert(asPairs(Forward.topKNonContainment(g, 5, 3)) ==
              asPairs(Naive.topKNonContainment(g, 5, 3)))
     }
@@ -57,7 +57,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   for (seed <- 1 to 5; k <- Seq(2, 5))
     test(s"Backward matches LocalSearch (seed=$seed k=$k)") {
-      val g = GraphGen.localRandom(45, 5.0, seed)
+      val g = LocalGen.localRandom(45, 5.0, seed)
       val (bwd, bwdStats) = Backward.topK(g, k, 3)
       val (ls, lsStats) = LocalSearch.topK(g, k, 3)
       assert(asPairs(bwd) == asPairs(ls))
@@ -66,7 +66,7 @@ class BaselinesSpec extends AnyFunSuite {
     }
 
   test("Backward's work is quadratic-in-prefix on a long search") {
-    val g = GraphGen.localPowerLaw(200, 4, 3)
+    val g = LocalGen.localPowerLaw(200, 4, 3)
     val (_, stats) = Backward.topK(g, 10, 3)
     // one CountIC per added vertex: rounds ≈ prefix − (k+γ) + 1
     assert(stats.rounds >= stats.finalPrefix - 13 + 1)
@@ -81,14 +81,14 @@ class BaselinesSpec extends AnyFunSuite {
 
   for (seed <- 1 to 5; k <- Seq(2, 6))
     test(s"LocalSearch-OA matches LocalSearch (seed=$seed k=$k)") {
-      val g = GraphGen.localRandom(45, 5.0, seed + 10)
+      val g = LocalGen.localRandom(45, 5.0, seed + 10)
       val (oa, _) = LocalSearchOA.topK(g, k, 3)
       val (ls, _) = LocalSearch.topK(g, k, 3)
       assert(asPairs(oa) == asPairs(ls))
     }
 
   test("all five algorithms agree on a power-law graph") {
-    val g = GraphGen.localPowerLaw(150, 5, 6)
+    val g = LocalGen.localPowerLaw(150, 5, 6)
     val k = 8
     val expected = asPairs(LocalSearch.topK(g, k, 3)._1)
     assert(asPairs(OnlineAll.topK(g, k, 3)._1) == expected)
@@ -118,7 +118,7 @@ class SemiExternalSpec extends AnyFunSuite {
   }
 
   test("LocalSearch-SE matches LocalSearch and reads only the final prefix") {
-    val g = GraphGen.localPowerLaw(150, 5, 6)
+    val g = LocalGen.localPowerLaw(150, 5, 6)
     val store = EdgeStore.fromGraph(g)
     val res = LocalSearchSE.topK(g, store, 5, 3)
     val (expected, stats) = LocalSearch.topK(g, 5, 3)
@@ -128,7 +128,7 @@ class SemiExternalSpec extends AnyFunSuite {
   }
 
   test("OnlineAll-SE matches OnlineAll and scans every edge") {
-    val g = GraphGen.localPowerLaw(120, 5, 9)
+    val g = LocalGen.localPowerLaw(120, 5, 9)
     val store = EdgeStore.fromGraph(g)
     val res = OnlineAllSE.topK(g, store, 5, 3, budgetEdges = 64)
     val (expected, _) = OnlineAll.topK(g, 5, 3)
@@ -138,7 +138,7 @@ class SemiExternalSpec extends AnyFunSuite {
   }
 
   test("LocalSearch-SE resident memory is below OnlineAll-SE's budget on a local query") {
-    val g = GraphGen.localPowerLaw(200, 5, 10)
+    val g = LocalGen.localPowerLaw(200, 5, 10)
     val lsRes = LocalSearchSE.topK(g, EdgeStore.fromGraph(g), 1, 3)
     assert(lsRes.peakResidentEdges <= g.m)
     assert(lsRes.edgesRead == lsRes.peakResidentEdges)
@@ -146,7 +146,7 @@ class SemiExternalSpec extends AnyFunSuite {
 
   for (seed <- 1 to 4)
     test(s"SE and in-memory results agree (seed=$seed)") {
-      val g = GraphGen.localRandom(50, 5.0, seed)
+      val g = LocalGen.localRandom(50, 5.0, seed)
       val se = LocalSearchSE.topK(g, EdgeStore.fromGraph(g), 4, 3)
       assert(asPairs(se.communities) == asPairs(Naive.topK(g, 4, 3)))
     }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.ref.Naive
 
 class CountICSpec extends AnyFunSuite {
@@ -36,7 +36,7 @@ class CountICSpec extends AnyFunSuite {
   }
 
   test("keys are in increasing weight order") {
-    val g = GraphGen.localPowerLaw(120, 5, 3)
+    val g = LocalGen.localPowerLaw(120, 5, 3)
     val res = CountIC.run(g, g.n, 3)
     val ws = res.keys.map(g.weights)
     assert(ws.toSeq == ws.sorted.toSeq)
@@ -54,7 +54,7 @@ class CountICSpec extends AnyFunSuite {
 
   for (seed <- 1 to 8; gamma <- 2 to 4)
     test(s"keynode set matches the naive definition (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localRandom(45, 5.0, seed)
+      val g = LocalGen.localRandom(45, 5.0, seed)
       val res = CountIC.run(g, g.n, gamma)
       assert(res.keys.toSeq == Naive.keynodes(g, gamma),
         "keynodes (increasing weight order)")
@@ -62,7 +62,7 @@ class CountICSpec extends AnyFunSuite {
 
   for (seed <- 1 to 4; gamma <- 2 to 4)
     test(s"prefix counting is monotone in the prefix (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localPowerLaw(80, 4, seed)
+      val g = LocalGen.localPowerLaw(80, 4, seed)
       val counts = (1 to g.n).map(p => CountIC.run(g, p, gamma).count)
       assert(counts.zip(counts.tail).forall { case (a, b) => a <= b },
         "Lemma 3.1: #communities never decreases as τ decreases")
@@ -70,7 +70,7 @@ class CountICSpec extends AnyFunSuite {
 
   for (seed <- 1 to 4)
     test(s"progressive stop: cvs of smaller prefix is a suffix of larger (seed=$seed)") {
-      val g = GraphGen.localPowerLaw(80, 4, seed)
+      val g = LocalGen.localPowerLaw(80, 4, seed)
       val gamma = 3
       val pSmall = g.n / 2
       val small = CountIC.run(g, pSmall, gamma)
@@ -86,7 +86,7 @@ class CountICSpec extends AnyFunSuite {
 
   for (seed <- 1 to 6)
     test(s"NC flags match the naive non-containment test (seed=$seed)") {
-      val g = GraphGen.localRandom(40, 5.0, seed)
+      val g = LocalGen.localRandom(40, 5.0, seed)
       val gamma = 3
       val expected = Naive.ncKeynodes(g, gamma)
       // Strict prefixes too, where the neighbour scans stop at rank p: half

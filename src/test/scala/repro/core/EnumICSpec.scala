@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.ref.Naive
 
 class EnumICSpec extends AnyFunSuite {
@@ -21,7 +21,7 @@ class EnumICSpec extends AnyFunSuite {
   }
 
   test("communities come out in decreasing influence order") {
-    val got = enumerate(GraphGen.localPowerLaw(100, 5, 5), 3, 20)
+    val got = enumerate(LocalGen.localPowerLaw(100, 5, 5), 3, 20)
     assert(got.map(_.influence).sliding(2).forall { case Seq(a, b) => a > b; case _ => true })
   }
 
@@ -43,7 +43,7 @@ class EnumICSpec extends AnyFunSuite {
   }
 
   test("communitySize agrees with materialised size") {
-    val g = GraphGen.localPowerLaw(100, 5, 11)
+    val g = LocalGen.localPowerLaw(100, 5, 11)
     val res = CountIC.run(g, g.n, 3)
     val idx = new CommunityIndex(g)
     idx.process(res, g.n, 0)
@@ -52,7 +52,7 @@ class EnumICSpec extends AnyFunSuite {
   }
 
   test("last-k restriction produces the same communities as full processing") {
-    val g = GraphGen.localPowerLaw(90, 5, 6)
+    val g = LocalGen.localPowerLaw(90, 5, 6)
     val full = enumerate(g, 3, Int.MaxValue)
     val top3 = enumerate(g, 3, 3)
     assert(top3.map(c => (c.influence, c.members.toSeq)) ==
@@ -61,7 +61,7 @@ class EnumICSpec extends AnyFunSuite {
 
   for (seed <- 1 to 8; gamma <- 2 to 4)
     test(s"every enumerated community matches the naive IC (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localRandom(40, 5.0, seed)
+      val g = LocalGen.localRandom(40, 5.0, seed)
       val res = CountIC.run(g, g.n, gamma)
       val idx = new CommunityIndex(g)
       idx.process(res, g.n, 0)
@@ -74,7 +74,7 @@ class EnumICSpec extends AnyFunSuite {
 
   for (seed <- 1 to 4)
     test(s"communities satisfy connectivity and cohesiveness (seed=$seed)") {
-      val g = GraphGen.localPowerLaw(80, 5, seed)
+      val g = LocalGen.localPowerLaw(80, 5, seed)
       val gamma = 3
       for (c <- enumerate(g, gamma, 10)) {
         val ranks = c.members.map(g.rankOf).toSet
@@ -115,7 +115,7 @@ class EnumICSpec extends AnyFunSuite {
     "cliques with hub" -> Fixtures.cliquesWithHub(4, 6),
     "nested chain" -> Fixtures.nestedChain(60, 3),
     "paperLike" -> Fixtures.paperLike,
-    "power-law" -> GraphGen.localPowerLaw(100, 5, 5),
+    "power-law" -> LocalGen.localPowerLaw(100, 5, 5),
   )
 
   for ((name, g) <- mergeGraphs)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.ref.Naive
 
 class LocalSearchSpec extends AnyFunSuite {
@@ -32,7 +32,7 @@ class LocalSearchSpec extends AnyFunSuite {
   }
 
   test("γ above the degeneracy returns empty") {
-    val g = GraphGen.localPowerLaw(60, 4, 2)
+    val g = LocalGen.localPowerLaw(60, 4, 2)
     val gmax = repro.graph.GraphOps.coreDecomposition(g).max
     val (got, _) = LocalSearch.topK(g, 5, gmax + 1)
     assert(got.isEmpty)
@@ -48,21 +48,21 @@ class LocalSearchSpec extends AnyFunSuite {
 
   for (seed <- 1 to 8; gamma <- 2 to 4; k <- Seq(1, 3, 10))
     test(s"matches naive top-k (seed=$seed γ=$gamma k=$k)") {
-      val g = GraphGen.localRandom(45, 5.0, seed)
+      val g = LocalGen.localRandom(45, 5.0, seed)
       val (got, _) = LocalSearch.topK(g, k, gamma)
       assert(asPairs(got) == asPairs(Naive.topK(g, k, gamma)))
     }
 
   for (delta <- Seq(1.5, 3.0, 8.0, 64.0))
     test(s"result is independent of delta ($delta)") {
-      val g = GraphGen.localPowerLaw(100, 5, 4)
+      val g = LocalGen.localPowerLaw(100, 5, 4)
       val base = asPairs(LocalSearch.topK(g, 7, 3)._1)
       assert(asPairs(LocalSearch.topK(g, 7, 3, delta)._1) == base)
     }
 
   for (seed <- 1 to 5)
     test(s"instance-optimality bound: accessed ≤ 2δ·size(G≥τ*) (seed=$seed)") {
-      val g = GraphGen.localPowerLaw(150, 5, seed)
+      val g = LocalGen.localPowerLaw(150, 5, seed)
       val gamma = 3
       val k = 5
       val keys = Naive.keynodes(g, gamma)
@@ -77,7 +77,7 @@ class LocalSearchSpec extends AnyFunSuite {
     }
 
   test("work is linear in the accessed prefix (Lemma 3.7 flavour)") {
-    val g = GraphGen.localPowerLaw(200, 5, 9)
+    val g = LocalGen.localPowerLaw(200, 5, 9)
     val (_, stats) = LocalSearch.topK(g, 5, 3, delta = 2.0)
     // Σ size(G≥τ_i) ≤ (1 + 1/(δ−1)) · size(G≥τ_h) = 2 · accessed for δ=2
     assert(stats.workSize <= 2 * stats.accessedSize + stats.rounds)

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.baseline.{Backward, EdgeStore, Forward, LocalSearchOA, LocalSearchSE, OnlineAll, OnlineAllSE}
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.graph.WGraph
 import repro.ref.Naive
 
@@ -18,9 +18,9 @@ class SearchDriverSpec extends AnyFunSuite {
 
   private val graphs: Map[String, WGraph] = Map(
     "paperLike" -> Fixtures.paperLike,
-    "powerLaw150" -> GraphGen.localPowerLaw(150, 5, 6),
-    "powerLaw200" -> GraphGen.localPowerLaw(200, 4, 3),
-    "random45" -> GraphGen.localRandom(45, 5.0, 3),
+    "powerLaw150" -> LocalGen.localPowerLaw(150, 5, 6),
+    "powerLaw200" -> LocalGen.localPowerLaw(200, 4, 3),
+    "random45" -> LocalGen.localRandom(45, 5.0, 3),
   )
 
   // ------------------------------------------------------------- statistics

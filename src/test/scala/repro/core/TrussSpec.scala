@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.ref.Naive
 
 class TrussSpec extends AnyFunSuite {
@@ -34,7 +34,7 @@ class TrussSpec extends AnyFunSuite {
 
   for (seed <- 1 to 6; gamma <- 3 to 5)
     test(s"truss reduction matches naive fixpoint (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localRandom(30, 6.0, seed)
+      val g = LocalGen.localRandom(30, 6.0, seed)
       val peeler = new TrussPeeler(g, g.n, gamma)
       peeler.reduceToTruss()
       val alive = (0 until peeler.mEdges).filter(peeler.eAlive(_))
@@ -64,14 +64,14 @@ class TrussSpec extends AnyFunSuite {
 
   for (seed <- 1 to 6; gamma <- 3 to 4)
     test(s"truss keynodes match naive (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localRandom(30, 6.0, seed)
+      val g = LocalGen.localRandom(30, 6.0, seed)
       val res = Truss.countICC(g, g.n, gamma)
       assert(res.keys.toSeq == Naive.trussKeynodes(g, gamma))
     }
 
   for (seed <- 1 to 6; gamma <- 3 to 4)
     test(s"truss communities match naive (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localRandom(30, 6.0, seed)
+      val g = LocalGen.localRandom(30, 6.0, seed)
       val got = Truss.globalSearchTopK(g, Int.MaxValue - 10, gamma)
       val expected = Naive.topKTruss(g, Int.MaxValue - 10, gamma)
       assert(asPairs(got) == asPairs(expected))
@@ -79,7 +79,7 @@ class TrussSpec extends AnyFunSuite {
 
   for (seed <- 1 to 5; k <- Seq(1, 3))
     test(s"LocalSearch-Truss equals GlobalSearch-Truss (seed=$seed k=$k)") {
-      val g = GraphGen.localRandom(40, 6.0, seed + 50)
+      val g = LocalGen.localRandom(40, 6.0, seed + 50)
       val (local, stats) = Truss.localSearchTopK(g, k, 3)
       val global = Truss.globalSearchTopK(g, k, 3)
       assert(asPairs(local) == asPairs(global))
@@ -87,7 +87,7 @@ class TrussSpec extends AnyFunSuite {
     }
 
   test("γ-truss communities sit inside (γ−1)-core communities of same influence") {
-    val g = GraphGen.localPowerLaw(80, 6, 12)
+    val g = LocalGen.localPowerLaw(80, 6, 12)
     val gamma = 4
     for (c <- Truss.globalSearchTopK(g, 5, gamma)) {
       val keyRank = g.rankOf(c.keyId)
@@ -99,7 +99,7 @@ class TrussSpec extends AnyFunSuite {
   }
 
   test("every γ-truss keynode is also a (γ−1)-core keynode") {
-    val g = GraphGen.localPowerLaw(80, 6, 13)
+    val g = LocalGen.localPowerLaw(80, 6, 13)
     for (gamma <- 3 to 4) {
       val trussKeys = Truss.countICC(g, g.n, gamma).keys.toSet
       val coreKeys = CountIC.run(g, g.n, gamma - 1).keys.toSet

@@ -38,13 +38,13 @@ class GeneratorSpec extends SparkSpec {
   }
 
   test("localRandom determinism") {
-    val a = GraphGen.localRandom(50, 4.0, 1)
-    val b = GraphGen.localRandom(50, 4.0, 1)
+    val a = LocalGen.localRandom(50, 4.0, 1)
+    val b = LocalGen.localRandom(50, 4.0, 1)
     assert(a.m == b.m && a.weights.toSeq == b.weights.toSeq)
   }
 
   test("localPowerLaw produces a connected-ish skewed graph") {
-    val g = GraphGen.localPowerLaw(200, 4, 2)
+    val g = LocalGen.localPowerLaw(200, 4, 2)
     val degs = (0 until g.n).map(u => g.adjHi(u).length + g.adjLo(u).length)
     assert(degs.max > 3 * (degs.sum.toDouble / g.n))
   }

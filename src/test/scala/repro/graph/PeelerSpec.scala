@@ -2,7 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 import repro.util.IntArrayList
 
 class PeelerSpec extends AnyFunSuite {
@@ -40,19 +40,19 @@ class PeelerSpec extends AnyFunSuite {
 
   for (seed <- 1 to 6; gamma <- 1 to 4)
     test(s"γ-core matches naive fixpoint (seed=$seed γ=$gamma)") {
-      val g = GraphGen.localRandom(50, 5.0, seed)
+      val g = LocalGen.localRandom(50, 5.0, seed)
       val expected = naiveCore(g, gamma, g.n)
       assert(GraphOps.gammaCore(g, gamma, g.n).toSet == expected)
     }
 
   for (seed <- 1 to 3; p <- Seq(10, 25, 40))
     test(s"prefix γ-core matches naive (seed=$seed p=$p)") {
-      val g = GraphGen.localRandom(50, 5.0, seed)
+      val g = LocalGen.localRandom(50, 5.0, seed)
       assert(GraphOps.gammaCore(g, 3, p).toSet == naiveCore(g, 3, p))
     }
 
   test("degrees after reduceToCore are consistent") {
-    val g = GraphGen.localRandom(60, 6.0, 42)
+    val g = LocalGen.localRandom(60, 6.0, 42)
     val peeler = new Peeler(g, g.n, 3)
     peeler.reduceToCore()
     for (u <- 0 until g.n if peeler.alive(u)) {
@@ -77,14 +77,14 @@ class PeelerSpec extends AnyFunSuite {
   }
 
   test("aliveCount tracks removals") {
-    val g = GraphGen.localRandom(40, 4.0, 7)
+    val g = LocalGen.localRandom(40, 4.0, 7)
     val peeler = new Peeler(g, g.n, 2)
     peeler.reduceToCore()
     assert(peeler.aliveCount == (0 until g.n).count(peeler.alive))
   }
 
   test("cascading removal leaves a γ-core") {
-    val g = GraphGen.localRandom(60, 6.0, 13)
+    val g = LocalGen.localRandom(60, 6.0, 13)
     val peeler = new Peeler(g, g.n, 3)
     peeler.reduceToCore()
     var cursor = g.n - 1
@@ -110,7 +110,7 @@ class GraphOpsSpec extends AnyFunSuite {
 
   for (seed <- 1 to 5)
     test(s"coreness matches repeated γ-core membership (seed=$seed)") {
-      val g = GraphGen.localRandom(40, 4.0, seed)
+      val g = LocalGen.localRandom(40, 4.0, seed)
       val core = GraphOps.coreDecomposition(g)
       val maxGamma = if (core.isEmpty) 0 else core.max
       for (gamma <- 1 to maxGamma) {

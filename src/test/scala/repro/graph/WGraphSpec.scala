@@ -2,7 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.gen.GraphGen
+import repro.gen.LocalGen
 
 class WGraphSpec extends AnyFunSuite {
 
@@ -116,14 +116,14 @@ class WGraphSpec extends AnyFunSuite {
 
   test("random graphs: degree sum equals 2m") {
     for (seed <- 1 to 5) {
-      val h = GraphGen.localRandom(60, 4.0, seed)
+      val h = LocalGen.localRandom(60, 4.0, seed)
       val degSum = (0 until h.n).map(u => h.adjHi(u).length + h.adjLo(u).length).sum
       assert(degSum == 2 * h.m)
     }
   }
 
   test("random graphs: weights are distinct") {
-    val h = GraphGen.localRandom(80, 3.0, 9)
+    val h = LocalGen.localRandom(80, 3.0, 9)
     assert(h.weights.distinct.length == h.n)
   }
 
