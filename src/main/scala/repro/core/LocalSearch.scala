@@ -47,8 +47,14 @@ object LocalSearch {
     val (_, res, stats) =
       search(g, k, gamma, g.deltaStep(delta))(CountIC.run(_, _, gamma, trackNc = true))(_.ncCount)
     // The last k NC keys, from the highest weight down.
-    val keys = (res.count - 1 to 0 by -1).iterator.filter(res.nc(_)).take(k)
-    (keys.map(i => Community.of(g, res.keys(i), res.group(i))).toVector, stats)
+    val out = Vector.newBuilder[Community]
+    var found = 0
+    var i = res.count - 1
+    while (found < k && i >= 0) {
+      if (res.nc(i)) { out += Community.of(g, res.keys(i), res.group(i)); found += 1 }
+      i -= 1
+    }
+    (out.result(), stats)
   }
 
   /** The rounds of Alg. 1 and Alg. 4 over `src`: prefixes `min(n, p0)`, then

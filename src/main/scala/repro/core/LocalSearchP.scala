@@ -72,6 +72,10 @@ object LocalSearchP {
   def topK(g: WGraph, k: Int, gamma: Int, delta: Double = 2.0,
            ncOnly: Boolean = false): Seq[Community] = {
     LocalSearch.requireArgs(k, gamma)
-    iterator(g, gamma, delta, ncOnly).take(k).map(_.materialise()).toSeq
+    val it = iterator(g, gamma, delta, ncOnly)
+    val out = Vector.newBuilder[Community]
+    var found = 0
+    while (found < k && it.hasNext) { out += it.next().materialise(); found += 1 }
+    out.result()
   }
 }

@@ -122,10 +122,12 @@ object Eval9 {
     val keyR = g.rankOf(c5.keyId)
     val coreCompSize = if (comp(keyR) == -1) 0 else comp.count(_ == comp(keyR))
     // the (γ−1)-community claim: the 6-truss community's members all sit in
-    // the influential 5-community with the same keynode
+    // the influential 5-community with the same keynode, the component of
+    // that key in the 5-core of the prefix down to it
     val t6KeyRank = g.rankOf(t6.keyId)
-    val in5Community = repro.ref.Naive.communityOf(g, 5, t6KeyRank)
-      .exists(m => t6.members.map(g.rankOf).forall(m.contains))
+    val comp6 = GraphOps.components(g, GraphOps.gammaCore(g, 5, t6KeyRank + 1), t6KeyRank + 1)
+    val in5Community = comp6(t6KeyRank) != -1 &&
+      t6.members.map(g.rankOf).forall(r => r <= t6KeyRank && comp6(r) == comp6(t6KeyRank))
     Seq(
       Seq("top-1 influential 5-community size", c5.members.length.toString),
       Seq("  its min-weight vertex rank", s"${keyRank(c5.keyId)} / ${g.n}"),

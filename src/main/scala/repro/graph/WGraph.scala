@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Vertex-weighted undirected graph in the paper's *weight-rank* layout.
   *
   * Vertices are identified by their **rank**: position `0` is the
@@ -78,49 +76,29 @@ final class WGraph private[graph] (
     while (i < l.length && l(i) < p) { f(l(i)); i += 1 }
   }
 
-  /** All neighbours of `u` (full graph). */
-  def neighbors(u: Int): Iterator[Int] = adjHi(u).iterator ++ adjLo(u).iterator
+  /** The [[RankTable]] over this graph's ranks, built on the first [[rankOf]]. */
+  private lazy val ranks = new RankTable(origId, weights)
 
-  /** Map external id → rank (built on demand; used by tests and reporting). */
-  lazy val rankOf: Map[Long, Int] =
-    origId.iterator.zipWithIndex.map { case (id, r) => id -> r }.toMap
+  /** The rank of external id `id`; throws `NoSuchElementException` for an id
+    * the graph does not hold. Used by tests and reporting.
+    */
+  def rankOf(id: Long): Int = ranks.rankOf(id)
 }
 
 object WGraph {
 
   /** Build from `(id, weight)` pairs and an undirected edge list over external
-    * ids. Self-loops are dropped and parallel edges deduplicated; weight ties
-    * are broken by ascending id so the rank order is total. Rejects NaN
-    * weights, duplicate ids and edges with an endpoint missing from the
-    * weights.
+    * ids, ranked by one [[RankTable]] (so 0.0 ranks above −0.0, and weight
+    * ties go to the smaller id). Self-loops are dropped and parallel edges
+    * deduplicated. Rejects NaN weights, duplicate ids and edges with an
+    * endpoint missing from the weights.
     */
   def apply(weightsById: Seq[(Long, Double)], edges: Iterable[(Long, Long)]): WGraph = {
-    weightsById.find(_._2.isNaN).foreach { case (id, _) =>
-      throw new IllegalArgumentException(s"vertex $id has a NaN weight")
-    }
-    val sorted = weightsById.toArray.sortBy { case (id, w) => (-w, id) }
-    val n = sorted.length
-    val origId = sorted.map(_._1)
-    val weights = sorted.map(_._2)
-    val rank = new mutable.LongMap[Int](n * 2)
-    var r = 0
-    while (r < n) {
-      if (rank.contains(origId(r)))
-        throw new IllegalArgumentException(s"vertex id ${origId(r)} appears twice in the weight table")
-      rank(origId(r)) = r
-      r += 1
-    }
-
+    val table = RankTable(weightsById.map(_._1).toArray, weightsById.map(_._2).toArray)
     val packed = new Array[Long](edges.size)
     var m = 0
-    for ((a, b) <- edges if a != b) {
-      (rank.get(a), rank.get(b)) match {
-        case (Some(ra), Some(rb)) => packed(m) = pack(ra, rb); m += 1
-        case _ =>
-          throw new IllegalArgumentException(s"edge ($a,$b) references unknown vertex")
-      }
-    }
-    fromPacked(weights, origId, packed, m)
+    for ((a, b) <- edges if a != b) { packed(m) = table.pack(a, b); m += 1 }
+    fromPacked(table.weights, table.ids, packed, m)
   }
 
   /** The edge between ranks `a != b` as one long, `maxRank << 32 | minRank`:

@@ -4,18 +4,18 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.graph.{PrefixEdges, WGraph}
+import repro.graph.{PrefixEdges, RankTable, WGraph}
 
 /** The graph data management system of the reproduction: the paper's
   * semi-external layout (§3.1 Remark) with Spark holding the edges.
   *
   * This realises the only interface LocalSearch requires of its substrate:
   * vertices retrievable in decreasing weight order together with their
-  * higher-weight neighbourhoods. Ranks order vertices by (weight desc,
-  * id asc). Per the semi-external assumption ("memory holds constant
-  * information per vertex"), the driver keeps ids, weights and the per-rank
-  * edge histogram in rank-indexed arrays. The edges stay in the cluster as
-  * one sorted `Array[Long]` per partition, each entry packing
+  * higher-weight neighbourhoods. Ranks come from one [[RankTable]], as
+  * [[WGraph.apply]]'s do. Per the semi-external assumption ("memory holds
+  * constant information per vertex"), the driver keeps ids, weights and the
+  * per-rank edge histogram in rank-indexed arrays. The edges stay in the
+  * cluster as one sorted `Array[Long]` per partition, each entry packing
   * `maxRank << 32 | minRank`. `maxRank` — the rank of the lower-weight
   * endpoint — is the paper's edge-weight sort key, so the edges of the top-p
   * prefix `G≥τ` are the entries below `p << 32`, and the edges a prefix gains
@@ -92,44 +92,26 @@ final class SparkGraphStore private (
 object SparkGraphStore {
 
   /** Build the store from an undirected edge list `(src, dst)` and a weight
-    * table `(id, weight)`. Rejects duplicate ids, NaN weights, self-loops,
-    * and edges with an endpoint missing from `weightsDf`. An edge listed
-    * more than once (in either direction) is kept as given: `cumEdges`
-    * counts the rows, so prefix sizes and `SearchStats` count each repeat,
-    * while every prefix graph holds the edge once.
+    * table `(id, weight)`, ranked by one [[RankTable]] (so 0.0 ranks above
+    * −0.0, and weight ties go to the smaller id). Rejects duplicate ids, NaN
+    * weights, self-loops, and edges with an endpoint missing from
+    * `weightsDf`. An edge listed more than once (in either direction) is kept
+    * as given: `cumEdges` counts the rows, so prefix sizes and `SearchStats`
+    * count each repeat, while every prefix graph holds the edge once.
     */
   def build(spark: SparkSession, edgesDf: DataFrame, weightsDf: DataFrame): SparkGraphStore = {
     val rows = weightsDf.select(col("id").cast("long"), col("weight").cast("double")).collect()
-    val n = rows.length
-    val idAt = rows.map(_.getLong(0))
-    val wAt = rows.map(_.getDouble(1))
-    wAt.indices.find(i => wAt(i).isNaN).foreach { i =>
-      throw new IllegalArgumentException(s"vertex ${idAt(i)} has a NaN weight")
-    }
-    val byRank = (0 until n).sortWith((a, b) => wAt(a) > wAt(b) || (wAt(a) == wAt(b) && idAt(a) < idAt(b)))
-    val ids = byRank.map(idAt).toArray
-    val weights = byRank.map(wAt).toArray
-
-    // Ranks are looked up in the packing task by binary search over the
-    // ascending ids, so a missing endpoint fails the first job over the edges.
-    val byId = (0 until n).sortBy(ids(_)).toArray
-    val sortedIds = byId.map(ids)
-    (1 until n).find(i => sortedIds(i) == sortedIds(i - 1)).foreach { i =>
-      throw new IllegalArgumentException(s"vertex id ${sortedIds(i)} appears twice in the weight table")
-    }
+    val ranks = RankTable(rows.map(_.getLong(0)), rows.map(_.getDouble(1)))
+    val n = ranks.ids.length
+    // The table goes to the packing task, so a missing endpoint fails the
+    // first job over the edges.
     val packing = edgesDf.select(col("src").cast("long"), col("dst").cast("long")).rdd
       .mapPartitions { it =>
         val b = Array.newBuilder[Long]
         it.foreach { r =>
           val (s, d) = (r.getLong(0), r.getLong(1))
-          def rank(v: Long): Int = {
-            val i = java.util.Arrays.binarySearch(sortedIds, v)
-            if (i < 0) throw new IllegalArgumentException(s"edge ($s,$d) references vertex $v, which has no weight")
-            byId(i)
-          }
           if (s == d) throw new IllegalArgumentException(s"edge ($s,$d) is a self-loop")
-          val (rs, rd) = (rank(s), rank(d))
-          b += WGraph.pack(rs, rd)
+          b += ranks.pack(s, d)
         }
         val a = b.result()
         java.util.Arrays.sort(a)
@@ -161,7 +143,7 @@ object SparkGraphStore {
     var p = 1
     while (p <= n) { cum(p) += cum(p - 1); p += 1 }
 
-    new SparkGraphStore(spark, ids, weights, packed, cum)
+    new SparkGraphStore(spark, ranks.ids, ranks.weights, packed, cum)
   }
 
   /** First index of the ascending array `a` whose entry is ≥ `key`. */

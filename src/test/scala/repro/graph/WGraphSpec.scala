@@ -139,6 +139,23 @@ class WGraphSpec extends AnyFunSuite {
     assert(seconds < 1.0, s"built in $seconds s")
   }
 
+  test("an id-local graph builds within 3x a random graph of the same size") {
+    // Each vertex linked to its 3 predecessors: 3n − 6 = 200,000 edges.
+    val n = 66668L
+    val idLocal = for (v <- 1L until n; d <- 1L to 3L if v >= d) yield (v - d, v)
+    val rnd = new scala.util.Random(3)
+    val random = idLocal.map { _ => val a = rnd.nextLong(n); (a, (a + 1 + rnd.nextLong(n - 1)) % n) }
+    val weights = (0L until n).map(v => v -> (n - v).toDouble)
+    def seconds(edges: Seq[(Long, Long)]): Double = {
+      val t0 = System.nanoTime()
+      WGraph(weights, edges)
+      (System.nanoTime() - t0) / 1e9
+    }
+    val runs = Seq.fill(3)((seconds(idLocal), seconds(random)))
+    val (tLocal, tRandom) = (runs.map(_._1).min, runs.map(_._2).min)
+    assert(tLocal <= 3 * tRandom, s"id-local $tLocal s, random $tRandom s")
+  }
+
   test("duplicate vertex ids are rejected") {
     val err = intercept[IllegalArgumentException](
       WGraph(Seq(1L -> 1.0, 1L -> 2.0, 2L -> 3.0), Seq((1L, 2L))))

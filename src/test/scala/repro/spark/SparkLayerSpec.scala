@@ -190,6 +190,31 @@ class SparkLayerSpec extends SparkSpec {
     } finally dup.unpersist()
   }
 
+  test("the store and WGraph.apply rank alike: 0.0 above -0.0, ties by id") {
+    val zeros = Seq((1L, -0.0), (2L, 0.0), (3L, 1.0))
+    assert(WGraph(zeros, Nil).origId.toSeq == Seq(3L, 2L, 1L))
+    // Random tables over negative and positive ids, with repeated and negative weights.
+    val rnd = new scala.util.Random(17)
+    val tables = (zeros, Seq((1L, 2L), (2L, 3L), (1L, 3L))) +: Seq.fill(3) {
+      val ids = rnd.shuffle((-20L to 20L).toVector).take(30)
+      val w = ids.map(_ -> Seq(-2.5, -1.0, -0.0, 0.0, 0.75, 3.0)(rnd.nextInt(6)))
+      (w, for (a <- ids; b <- ids if a < b && rnd.nextDouble() < 0.3) yield (a, b))
+    }
+    for (((w, e), i) <- tables.zipWithIndex) {
+      val s = SparkGraphStore.build(spark, e.toDF("src", "dst"), w.toDF("id", "weight"))
+      try {
+        val g = WGraph(w, e)
+        assert(s.toLocal.origId.toSeq == g.origId.toSeq, s"table $i")
+        if (i == 1) {
+          val (dist, _) = DistLocalSearch.topK(s, 5, 3)
+          val (loc, _) = LocalSearch.topK(g, 5, 3)
+          assert(loc.nonEmpty)
+          assert(dist.map(c => (c.keyId, c.members.toSeq)) == loc.map(c => (c.keyId, c.members.toSeq)))
+        }
+      } finally s.unpersist()
+    }
+  }
+
   // ------------------------------------------------------------------- k-core
 
   test("SparkKCore matches the local γ-core") {
