@@ -14,8 +14,10 @@ run's metrics go to
 `<workdir>/runs.jsonl`, its standard error (per-fork figures) to
 `<workdir>/logs/`. Then, per workload, it prints each run's per-fork
 `topk p50` read back from that log, so a pair lost to one slow JVM shows,
-and, per end-to-end metric of BENCHMARK.json, each side's median and
-quartiles, the pairs the working tree won, and a verdict:
+then each side's per-fork figures of all runs pooled and sorted, so a
+bimodal fork speed shows as two clusters, and, per end-to-end metric of
+BENCHMARK.json, each side's median and quartiles, the pairs the working
+tree won, and a verdict:
 
 - improved: won at least nine tenths of the pairs (ties count for neither),
   and the medians differ, in the better direction, by more than the base
@@ -143,6 +145,20 @@ def fork_topk_p50(log):
     return [float(x) for x in re.findall(r"^\[icbench\] fork \d+: topk p50 (\S+) ms", log, re.M)]
 
 
+def pooled_line(side, per_run):
+    """One side's per-fork `topk p50` figures of every run of a workload,
+    pooled and sorted, so forks that settle in two speed modes show as two
+    clusters whatever their runs.
+
+    >>> pooled_line("base", [[0.0171, 0.0112, 0.0113], [0.0110, 0.0169]])
+    'base pooled (5 forks): 0.011 0.0112 0.0113 0.0169 0.0171'
+    >>> pooled_line("change", [[], []])
+    'change pooled (0 forks): '
+    """
+    forks = sorted(x for run in per_run for x in run)
+    return f"{side} pooled ({len(forks)} forks): " + " ".join(f"{x:.4g}" for x in forks)
+
+
 def run_once(checkout, workload, seed, seconds, log):
     """One benchmark run; its metrics line, or None when the run failed."""
     with open(log, "w") as err:
@@ -173,12 +189,17 @@ def report(bench, runs, workload, logs):
     if not done:
         return
     print("Per-fork topk p50 (ms), base | change:")
+    pooled = {"base": [], "change": []}
     for p in done:
         seed = next(r["seed"] for r in runs if r["workload"] == workload and r["pair"] == p)
         forks = {side: fork_topk_p50((logs / f"{workload}-{p}-{seed}-{side}.err").read_text())
                  for side in ("base", "change")}
         print(f"  pair {p} seed {seed}: " + " | ".join(
             " ".join(f"{x:.4g}" for x in forks[side]) for side in ("base", "change")))
+        for side in pooled:
+            pooled[side].append(forks[side])
+    for side in pooled:
+        print("  " + pooled_line(side, pooled[side]))
     print("| metric | base median [q1, q3] | change median [q1, q3] | wins | verdict |")
     print("|---|---|---|---|---|")
     for m in bench["end_to_end"]:

@@ -14,13 +14,13 @@ import repro.graph.{PrefixEdges, WGraph}
   * measures (our container has no spinning disk to time).
   */
 final class EdgeStore private (packed: Array[Long], protected val weights: Array[Double],
-                               protected val origId: Array[Long], cumSize: Array[Long]) extends PrefixEdges {
+                               protected val origId: Array[Long], hiOff: Array[Int]) extends PrefixEdges {
 
   /** Edges streamed out of the store so far (the I/O metric). */
   var edgesRead: Long = 0L
 
   def n: Int = weights.length
-  def prefixSize(p: Int): Long = cumSize(p)
+  def prefixSize(p: Int): Long = p.toLong + hiOff(p)
   def totalEdges: Int = packed.length
 
   /** Read edges `[from, until)` in storage (decreasing weight) order. */
@@ -37,10 +37,9 @@ object EdgeStore {
   /** Sort the edges of `g` by decreasing edge weight (ascending max rank). */
   def fromGraph(g: WGraph): EdgeStore = {
     val packed = new Array[Long](g.m.toInt)
-    var i = 0
-    // adjHi(u) holds edges whose max rank is u; ranks ascend = weights descend.
-    for (u <- 0 until g.n; v <- g.adjHi(u)) { packed(i) = WGraph.pack(u, v); i += 1 }
-    new EdgeStore(packed, g.weights, g.origId, g.cumSize)
+    // g.hi holds each edge once, in its max rank's row; ranks ascend = weights descend.
+    for (u <- 0 until g.n; i <- g.hiOff(u) until g.hiOff(u + 1)) packed(i) = WGraph.pack(u, g.hi(i))
+    new EdgeStore(packed, g.weights, g.origId, g.hiOff)
   }
 }
 

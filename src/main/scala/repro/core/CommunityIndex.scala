@@ -95,6 +95,10 @@ final class CommunityIndex(val g: WGraph) {
     * [[repro.graph.Peeler]]).
     */
   private[core] def link(res: CvsResult, i: Int, p: Int): Unit = {
+    val hiOff = g.hiOff
+    val hi = g.hi
+    val loOff = g.loOff
+    val lo = g.lo
     open(res.keys(i))
     var j = res.keyPos(i)
     val end = res.groupEnd(i)
@@ -102,12 +106,12 @@ final class CommunityIndex(val g: WGraph) {
       val v = res.cvs(j)
       claim(v)
       // v is adjacent to the rest of the group: whatever holds a neighbour is a child.
-      val h = g.adjHi(v)
-      var a = 0
-      while (a < h.length) { if (ds.assigned(h(a))) linkRootOf(h(a)); a += 1 }
-      val l = g.adjLo(v)
-      a = 0
-      while (a < l.length && l(a) < p) { if (ds.assigned(l(a))) linkRootOf(l(a)); a += 1 }
+      var a = hiOff(v)
+      val hEnd = hiOff(v + 1)
+      while (a < hEnd) { if (ds.assigned(hi(a))) linkRootOf(hi(a)); a += 1 }
+      a = loOff(v)
+      val lEnd = loOff(v + 1)
+      while (a < lEnd && lo(a) < p) { if (ds.assigned(lo(a))) linkRootOf(lo(a)); a += 1 }
       j += 1
     }
     close()

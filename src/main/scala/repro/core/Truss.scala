@@ -8,27 +8,20 @@ import scala.collection.mutable
 /** Mutable γ-truss peeling engine over the top-`p` prefix of a [[WGraph]].
   *
   * A graph is a γ-truss iff every edge participates in ≥ γ−2 triangles.
-  * Edges are indexed in the prefix-store order (for u ascending, each
-  * `adjHi(u)` edge), supports are maintained under cascading edge removal,
-  * and a vertex leaves the graph when its last edge does — mirroring Alg. 7,
-  * where cvs is a sequence of *edges*.
+  * Edges are indexed in the prefix-store order (the graph's `hi` array: for
+  * u ascending, each edge of u's `hi` row), supports are maintained under
+  * cascading edge removal, and a vertex leaves the graph when its last edge
+  * does — mirroring Alg. 7, where cvs is a sequence of *edges*.
   */
 final class TrussPeeler(val g: WGraph, val p: Int, val gamma: Int) {
 
-  /** Edge endpoint arrays: edge e joins eA(e) (smaller rank) and eB(e). */
-  val (eA, eB) = {
-    val m = g.prefixEdges(p).toInt
-    val a = new Array[Int](m)
-    val b = new Array[Int](m)
-    var i = 0
+  /** Edge endpoint arrays: edge e joins eA(e) (smaller rank) and eB(e), and is `g.hi(e)`. */
+  val eA: Array[Int] = java.util.Arrays.copyOf(g.hi, g.hiOff(p))
+  val eB: Array[Int] = {
+    val b = new Array[Int](eA.length)
     var u = 0
-    while (u < p) {
-      val h = g.adjHi(u)
-      var j = 0
-      while (j < h.length) { a(i) = h(j); b(i) = u; i += 1; j += 1 }
-      u += 1
-    }
-    (a, b)
+    while (u < p) { java.util.Arrays.fill(b, g.hiOff(u), g.hiOff(u + 1), u); u += 1 }
+    b
   }
 
   val mEdges: Int = eA.length

@@ -10,7 +10,7 @@ object Table1 {
   def rows(spark: SparkSession): Seq[Seq[String]] =
     (Datasets.specs.map(_.name) :+ "dblp-s").map { name =>
       val g = if (name == "dblp-s") Datasets.dblp(spark) else Datasets.graph(spark, name)
-      val degrees = (0 until g.n).map(u => g.adjHi(u).length + g.adjLo(u).length)
+      val degrees = (0 until g.n).map(g.degree)
       val dMax = if (g.n == 0) 0 else degrees.max
       val dAvg = if (g.n == 0) 0.0 else degrees.sum.toDouble / g.n
       val paper = Datasets.specs.find(_.name == name).map(_.paperName).getOrElse("DBLP")

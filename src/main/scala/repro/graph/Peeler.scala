@@ -81,13 +81,13 @@ final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
     var top = 0
     while (top < out.length) {
       val v = out(top)
-      val h = g.adjHi(v)
-      var i = 0
-      while (i < h.length) { reach(h(i), out); i += 1 }
-      val l = g.adjLo(v)
-      i = 0
-      while (i < l.length && l(i) < p) { reach(l(i), out); i += 1 }
-      visits += i + h.length
+      var i = g.hiOff(v)
+      val hEnd = g.hiOff(v + 1)
+      while (i < hEnd) { reach(g.hi(i), out); i += 1 }
+      i = g.loOff(v)
+      val lEnd = g.loOff(v + 1)
+      while (i < lEnd && g.lo(i) < p) { reach(g.lo(i), out); i += 1 }
+      visits += hEnd - g.hiOff(v) + i - g.loOff(v)
       top += 1
     }
     visits
@@ -104,30 +104,34 @@ final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
     var j = from
     while (j < vs.length) {
       val v = vs(j)
-      val h = g.adjHi(v)
-      var i = 0
-      while (i < h.length) { if (alive(h(i))) return true; i += 1 }
-      val l = g.adjLo(v)
-      i = 0
-      while (i < l.length && l(i) < p) { if (alive(l(i))) return true; i += 1 }
+      var i = g.hiOff(v)
+      val hEnd = g.hiOff(v + 1)
+      while (i < hEnd) { if (alive(g.hi(i))) return true; i += 1 }
+      i = g.loOff(v)
+      val lEnd = g.loOff(v + 1)
+      while (i < lEnd && g.lo(i) < p) { if (alive(g.lo(i))) return true; i += 1 }
       j += 1
     }
     false
   }
 
-  // The neighbour loops here and in CommunityIndex are written out over
-  // adjHi/adjLo rather than through WGraph.foreachNeighborIn: that method's
-  // one call site of its closure would see every loop's lambda class, and a
-  // megamorphic call per neighbour visit is most of a peel's time.
+  // The neighbour loops here and in CommunityIndex are written out over the
+  // graph's CSR arrays rather than through WGraph.foreachNeighborIn: that
+  // method's one call site of its closure would see every loop's lambda
+  // class, and a megamorphic call per neighbour visit is most of a peel's time.
   private def drain(cvs: IntArrayList): Unit = {
+    val hiOff = g.hiOff
+    val hi = g.hi
+    val loOff = g.loOff
+    val lo = g.lo
     while (!queue.isEmpty) {
       val v = queue.pop()
-      val h = g.adjHi(v)
-      var i = 0
-      while (i < h.length) { lower(h(i)); i += 1 }
-      val l = g.adjLo(v)
-      i = 0
-      while (i < l.length && l(i) < p) { lower(l(i)); i += 1 }
+      var i = hiOff(v)
+      val hEnd = hiOff(v + 1)
+      while (i < hEnd) { lower(hi(i)); i += 1 }
+      i = loOff(v)
+      val lEnd = loOff(v + 1)
+      while (i < lEnd && lo(i) < p) { lower(lo(i)); i += 1 }
       alive(v) = false
       aliveCount -= 1
       if (cvs != null) cvs.add(v)
@@ -163,7 +167,7 @@ object GraphOps {
     */
   def coreDecomposition(g: WGraph): Array[Int] = {
     val n = g.n
-    val deg = Array.tabulate(n)(u => g.adjHi(u).length + g.adjLo(u).length)
+    val deg = Array.tabulate(n)(g.degree)
     val maxDeg = if (n == 0) 0 else deg.max
     // bucket sort vertices by degree
     val bin = new Array[Int](maxDeg + 2)

@@ -5,62 +5,54 @@ package repro.graph
   * Vertices are identified by their **rank**: position `0` is the
   * highest-weight vertex, `n-1` the lowest (Section 3.1: "vertices are
   * pre-sorted in decreasing order with respect to their weights"). The
-  * adjacency of each vertex is pre-partitioned into
+  * adjacency is two compressed sparse rows (CSR) over ranks, each row
+  * ascending:
   *
-  *  - `adjHi(u)` — neighbours with rank `< u` (weight above u's): the paper's
-  *    `N≥(u)`, and
-  *  - `adjLo(u)` — neighbours with rank `> u`: the paper's `N<(u)`,
+  *  - `hi[hiOff(u), hiOff(u + 1))` — neighbours with rank `< u` (weight above
+  *    u's): the paper's `N≥(u)`, and
+  *  - `lo[loOff(u), loOff(u + 1))` — neighbours with rank `> u`: `N<(u)`,
+  *    the transpose of `hi`.
   *
-  * both sorted ascending by rank. With this layout the prefix subgraph
-  * `G≥τ` induced by the top-`p` ranks contains exactly the `adjHi` edges of
-  * ranks `0 until p`, so it is retrievable in time linear in its size.
+  * Each edge sits once in `hi`, in its maxRank's row, so `hi` is the edge
+  * list in the paper's edge-weight order (§3.1 Remark): the prefix `G≥τ` of
+  * the top-`p` ranks has the edges `hi[0, hiOff(p))`.
   *
   * Weights may contain ties; all ordering decisions are made by rank (ties
   * broken by ascending original id at build time), matching the paper's
   * distinct-weight assumption.
   */
 final class WGraph private[graph] (
-    /** Number of vertices. */
-    val n: Int,
     /** Weight by rank; non-increasing. */
     val weights: Array[Double],
     /** Original (external) vertex id by rank. */
     val origId: Array[Long],
-    /** Higher-weight neighbours (rank < u), ascending. */
-    val adjHi: Array[Array[Int]],
-    /** Lower-weight neighbours (rank > u), ascending. */
-    val adjLo: Array[Array[Int]],
+    /** N≥ rows: rank u's is `hi[hiOff(u), hiOff(u + 1))`; `hiOff` has n + 1 entries. */
+    val hiOff: Array[Int], val hi: Array[Int],
+    /** N< rows: rank u's is `lo[loOff(u), loOff(u + 1))`; `loOff` has n + 1 entries. */
+    val loOff: Array[Int], val lo: Array[Int],
 ) extends PrefixSizes {
 
-  /** `cumSize(p)` = size (|V|+|E|) of the prefix subgraph on ranks `< p`. */
-  val cumSize: Array[Long] = {
-    val c = new Array[Long](n + 1)
-    var p = 0
-    while (p < n) { c(p + 1) = c(p) + 1 + adjHi(p).length; p += 1 }
-    c
-  }
+  /** Number of vertices. */
+  val n: Int = weights.length
 
   /** Total number of undirected edges. */
-  def m: Long = cumSize(n) - n
+  def m: Long = hiOff(n)
 
-  /** size of the prefix subgraph on the top-`p` ranks. */
-  def prefixSize(p: Int): Long = cumSize(p)
+  /** size (|V|+|E|) of the prefix subgraph on the top-`p` ranks. */
+  def prefixSize(p: Int): Long = p.toLong + hiOff(p)
 
   /** A local graph is its own prefix. */
   def prefixes(): Int => WGraph = _ => this
 
-  /** Degree of rank `u` within the top-`p` prefix (requires `u < p`). */
-  def degIn(u: Int, p: Int): Int = adjHi(u).length + countBelow(adjLo(u), p)
+  /** Degree of rank `u` in the whole graph. */
+  def degree(u: Int): Int = hiOff(u + 1) - hiOff(u) + loOff(u + 1) - loOff(u)
 
-  /** Number of entries `< p` in the ascending array `a`. */
-  private def countBelow(a: Array[Int], p: Int): Int = {
-    var lo = 0
-    var hi = a.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (a(mid) < p) lo = mid + 1 else hi = mid
-    }
-    lo
+  /** Degree of rank `u` within the top-`p` prefix (requires `u < p`). */
+  def degIn(u: Int, p: Int): Int = {
+    var a = loOff(u) // binary search for the first entry ≥ p of u's lo row
+    var b = loOff(u + 1)
+    while (a < b) { val mid = (a + b) >>> 1; if (lo(mid) < p) a = mid + 1 else b = mid }
+    degree(u) - (loOff(u + 1) - a)
   }
 
   /** Visit every neighbour of `u` inside the top-`p` prefix. Used off the
@@ -68,12 +60,12 @@ final class WGraph private[graph] (
     * class, so the query path's loops are written out (see [[Peeler]]).
     */
   def foreachNeighborIn(u: Int, p: Int)(f: Int => Unit): Unit = {
-    val h = adjHi(u)
-    var i = 0
-    while (i < h.length) { f(h(i)); i += 1 }
-    val l = adjLo(u)
-    i = 0
-    while (i < l.length && l(i) < p) { f(l(i)); i += 1 }
+    var i = hiOff(u)
+    val hEnd = hiOff(u + 1)
+    while (i < hEnd) { f(hi(i)); i += 1 }
+    i = loOff(u)
+    val lEnd = loOff(u + 1)
+    while (i < lEnd && lo(i) < p) { f(lo(i)); i += 1 }
   }
 
   /** The [[RankTable]] over this graph's ranks, built on the first [[rankOf]]. */
@@ -103,43 +95,51 @@ object WGraph {
 
   /** The edge between ranks `a != b` as one long, `maxRank << 32 | minRank`:
     * ascending order is the paper's edge-weight order (§3.1 Remark), with the
-    * edges of each `adjHi` row contiguous and ascending.
+    * edges of each `hi` row contiguous and ascending.
     */
   def pack(a: Int, b: Int): Long = math.max(a, b).toLong << 32 | math.min(a, b)
 
   /** Build from the [[pack]]ed edges `packed[0, m)` over ranks
     * `< weights.length`, in any order, repeats allowed. Sorts the range in
     * place and compacts it to its distinct edges at the front; the range
-    * still holds the same set of edges.
+    * still holds the same set of edges. Rejects a self-loop or a rank
+    * outside `[0, weights.length)`.
     */
   def fromPacked(weights: Array[Double], origId: Array[Long],
                  packed: Array[Long], m: Int): WGraph = {
     val n = weights.length
     java.util.Arrays.sort(packed, 0, m)
+    // Row lengths are counted while compacting, then summed into offsets.
+    val hiOff = new Array[Int](n + 1)
+    val loOff = new Array[Int](n + 1)
     var unique = 0
     var i = 0
     while (i < m) {
-      if (unique == 0 || packed(unique - 1) != packed(i)) { packed(unique) = packed(i); unique += 1 }
+      val e = packed(i)
+      if (unique == 0 || packed(unique - 1) != e) {
+        val a = (e >>> 32).toInt
+        val b = e.toInt
+        if (b < 0 || b >= a || a >= n)
+          throw new IllegalArgumentException(s"packed edge ($a,$b) needs ranks 0 <= minRank < maxRank < $n")
+        packed(unique) = e; unique += 1
+        hiOff(a + 1) += 1; loOff(b + 1) += 1
+      }
       i += 1
     }
-    // In (maxRank, minRank) order each adjHi row is filled from its run, and
-    // each adjLo row receives its maxRanks ascending: no row needs a sort.
-    val hiCnt = new Array[Int](n)
-    val loCnt = new Array[Int](n)
-    i = 0
-    while (i < unique) { hiCnt((packed(i) >>> 32).toInt) += 1; loCnt(packed(i).toInt) += 1; i += 1 }
-    val adjHi = Array.tabulate(n)(u => new Array[Int](hiCnt(u)))
-    val adjLo = Array.tabulate(n)(u => new Array[Int](loCnt(u)))
-    java.util.Arrays.fill(hiCnt, 0)
-    java.util.Arrays.fill(loCnt, 0)
+    var u = 0
+    while (u < n) { hiOff(u + 1) += hiOff(u); loOff(u + 1) += loOff(u); u += 1 }
+    // In (maxRank, minRank) order, hi is the minRanks in sequence and the
+    // transpose fills each lo row ascending: no row needs a sort.
+    val hi = new Array[Int](unique)
+    val lo = new Array[Int](unique)
+    val next = java.util.Arrays.copyOf(loOff, n)
     i = 0
     while (i < unique) {
-      val hi = (packed(i) >>> 32).toInt
-      val lo = packed(i).toInt
-      adjHi(hi)(hiCnt(hi)) = lo; hiCnt(hi) += 1
-      adjLo(lo)(loCnt(lo)) = hi; loCnt(lo) += 1
+      val b = packed(i).toInt
+      hi(i) = b
+      lo(next(b)) = (packed(i) >>> 32).toInt; next(b) += 1
       i += 1
     }
-    new WGraph(n, weights, origId, adjHi, adjLo)
+    new WGraph(weights, origId, hiOff, hi, loOff, lo)
   }
 }

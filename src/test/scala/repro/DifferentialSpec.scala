@@ -26,7 +26,7 @@ class DifferentialSpec extends SparkSpec {
                          for (i <- 0L until 8L; j <- i + 1 until 8L) yield (i, j)),
       "nested chain" -> Fixtures.nestedChain(300, 3),
       "all-equal weights" -> WGraph(base.origId.toSeq.map(_ -> 1.0),
-        for (u <- 0 until base.n; v <- base.adjHi(u)) yield (base.origId(u), base.origId(v))),
+        for (u <- 0 until base.n; v <- Fixtures.hiRow(base, u)) yield (base.origId(u), base.origId(v))),
       "paperLike" -> Fixtures.paperLike,
       // Each vertex linked to its 4 nearest predecessors, weights shuffled.
       "id-local band" -> WGraph(
@@ -79,7 +79,7 @@ class DifferentialSpec extends SparkSpec {
   test("DistLocalSearch agrees with Naive and LocalSearch on a small store") {
     import spark.implicits._
     val g = LocalGen.localPowerLaw(80, 5, 3)
-    val edges = (for (u <- 0 until g.n; v <- g.adjHi(u)) yield (g.origId(u), g.origId(v))).toDF("src", "dst")
+    val edges = (for (u <- 0 until g.n; v <- Fixtures.hiRow(g, u)) yield (g.origId(u), g.origId(v))).toDF("src", "dst")
     val weights = g.origId.indices.map(r => (g.origId(r), g.weights(r))).toDF("id", "weight")
     val store = SparkGraphStore.build(spark, edges, weights)
     try for (gamma <- Seq(2, 3); k <- ks) {

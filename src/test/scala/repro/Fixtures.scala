@@ -96,4 +96,10 @@ object Fixtures {
     (0L until n.toLong).map(v => v -> (n - v).toDouble),
     for (v <- 1L until n.toLong; d <- 1L to back.toLong if v >= d) yield (v - d, v),
   )
+
+  /** Rank `u`'s row of `g.hi`: its higher-weight neighbours N≥(u), ascending. */
+  def hiRow(g: WGraph, u: Int): Array[Int] = java.util.Arrays.copyOfRange(g.hi, g.hiOff(u), g.hiOff(u + 1))
+
+  /** Rank `u`'s row of `g.lo`: its lower-weight neighbours N<(u), ascending. */
+  def loRow(g: WGraph, u: Int): Array[Int] = java.util.Arrays.copyOfRange(g.lo, g.loOff(u), g.loOff(u + 1))
 }

@@ -2,6 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
+import repro.Fixtures.{hiRow, loRow}
 import repro.gen.LocalGen
 
 class WGraphSpec extends AnyFunSuite {
@@ -17,22 +18,22 @@ class WGraphSpec extends AnyFunSuite {
   }
 
   test("adjHi holds only higher-weight (smaller-rank) neighbours") {
-    assert((0 until g.n).forall(u => g.adjHi(u).forall(_ < u)))
+    assert((0 until g.n).forall(u => hiRow(g, u).forall(_ < u)))
   }
 
   test("adjLo holds only lower-weight (larger-rank) neighbours") {
-    assert((0 until g.n).forall(u => g.adjLo(u).forall(_ > u)))
+    assert((0 until g.n).forall(u => loRow(g, u).forall(_ > u)))
   }
 
   private def strictlyAscending(a: Array[Int]) = (1 until a.length).forall(i => a(i - 1) < a(i))
 
   test("adjacency lists are sorted ascending") {
-    assert((0 until g.n).forall(u => strictlyAscending(g.adjHi(u)) && strictlyAscending(g.adjLo(u))))
+    assert((0 until g.n).forall(u => strictlyAscending(hiRow(g, u)) && strictlyAscending(loRow(g, u))))
   }
 
   test("every edge appears in exactly one adjHi and one adjLo") {
-    val fromHi = (0 until g.n).flatMap(u => g.adjHi(u).map(v => (v, u))).toSet
-    val fromLo = (0 until g.n).flatMap(u => g.adjLo(u).map(v => (u, v))).toSet
+    val fromHi = (0 until g.n).flatMap(u => hiRow(g, u).map(v => (v, u))).toSet
+    val fromLo = (0 until g.n).flatMap(u => loRow(g, u).map(v => (u, v))).toSet
     assert(fromHi == fromLo)
   }
 
@@ -60,14 +61,14 @@ class WGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("cumSize is strictly increasing") {
-    assert((1 to g.n).forall(p => g.cumSize(p) > g.cumSize(p - 1)))
+  test("prefixSize is strictly increasing") {
+    assert((1 to g.n).forall(p => g.prefixSize(p) > g.prefixSize(p - 1)))
   }
 
   test("prefixSize(p) counts prefix vertices plus internal edges") {
     for (p <- 0 to g.n) {
       val inPrefix = (0 until p).toSet
-      val edges = (0 until p).map(u => g.adjHi(u).count(inPrefix)).sum
+      val edges = (0 until p).map(u => hiRow(g, u).count(inPrefix)).sum
       assert(g.prefixSize(p) == p + edges)
     }
   }
@@ -75,14 +76,14 @@ class WGraphSpec extends AnyFunSuite {
   test("growTo returns the smallest prefix reaching the target") {
     for (target <- 0L to g.size) {
       val p = g.growTo(target)
-      assert(g.cumSize(p) >= target)
-      assert(p == 0 || g.cumSize(p - 1) < target)
+      assert(g.prefixSize(p) >= target)
+      assert(p == 0 || g.prefixSize(p - 1) < target)
     }
   }
 
   test("degIn matches a direct count, for every prefix") {
     for (p <- 1 to g.n; u <- 0 until p) {
-      val expected = (g.adjHi(u) ++ g.adjLo(u)).count(_ < p)
+      val expected = (hiRow(g, u) ++ loRow(g, u)).count(_ < p)
       assert(g.degIn(u, p) == expected, s"degIn($u, $p)")
     }
   }
@@ -91,7 +92,7 @@ class WGraphSpec extends AnyFunSuite {
     for (p <- 1 to g.n; u <- 0 until p) {
       val buf = scala.collection.mutable.ArrayBuffer.empty[Int]
       g.foreachNeighborIn(u, p)(buf += _)
-      val expected = (g.adjHi(u) ++ g.adjLo(u)).filter(_ < p).toSet
+      val expected = (hiRow(g, u) ++ loRow(g, u)).filter(_ < p).toSet
       assert(buf.toSet == expected && buf.size == expected.size)
     }
   }
@@ -109,15 +110,45 @@ class WGraphSpec extends AnyFunSuite {
     val b = WGraph.fromPacked(w, ids, flipped.toArray, flipped.length)
     assert(a.m == 5 && b.m == 5)
     for (h <- Seq(a, b)) {
-      assert(h.adjHi.map(_.toSeq).toSeq == Seq(Nil, Seq(0), Seq(0, 1), Seq(0, 1)))
-      assert(h.adjLo.map(_.toSeq).toSeq == Seq(Seq(1, 2, 3), Seq(2, 3), Nil, Nil))
+      assert((0 until h.n).map(hiRow(h, _).toSeq) == Seq(Nil, Seq(0), Seq(0, 1), Seq(0, 1)))
+      assert((0 until h.n).map(loRow(h, _).toSeq) == Seq(Seq(1, 2, 3), Seq(2, 3), Nil, Nil))
+    }
+  }
+
+  test("fromPacked rejects a self-loop") {
+    val err = intercept[IllegalArgumentException](
+      WGraph.fromPacked(Array(3.0, 2.0, 1.0), Array(0L, 1L, 2L), Array(WGraph.pack(2, 2)), 1))
+    assert(err.getMessage.contains("packed edge (2,2) needs ranks 0 <= minRank < maxRank < 3"), err.getMessage)
+  }
+
+  test("fromPacked rejects a rank at or above n") {
+    val err = intercept[IllegalArgumentException](
+      WGraph.fromPacked(Array(3.0, 2.0, 1.0), Array(0L, 1L, 2L), Array(WGraph.pack(0, 1), WGraph.pack(3, 1)), 2))
+    assert(err.getMessage.contains("packed edge (3,1) needs ranks 0 <= minRank < maxRank < 3"), err.getMessage)
+  }
+
+  test("fromPacked rejects a negative rank") {
+    val err = intercept[IllegalArgumentException](
+      WGraph.fromPacked(Array(3.0, 2.0, 1.0), Array(0L, 1L, 2L), Array(WGraph.pack(2, -1)), 1))
+    assert(err.getMessage.contains("needs ranks 0 <= minRank < maxRank < 3"), err.getMessage)
+  }
+
+  test("hiOff(p) counts the prefix's edges, and lo is the transpose of hi") {
+    for (h <- Seq(g, LocalGen.localRandom(60, 4.0, 2))) {
+      assert(h.hiOff.length == h.n + 1 && h.loOff.length == h.n + 1 && h.lo.length == h.hi.length)
+      // N<(v) ∩ [0, p), summed over v, counts the prefix's edges from lo alone.
+      assert((0 to h.n).forall(p => h.hiOff(p) == h.prefixEdges(p) &&
+        h.hiOff(p) == (0 until h.n).map(v => loRow(h, v).count(_ < p)).sum))
+      val fromHi = (0 until h.n).flatMap(u => hiRow(h, u).map(v => (v, u)))
+      val fromLo = (0 until h.n).flatMap(v => loRow(h, v).map(u => (v, u)))
+      assert(fromLo == fromHi.sorted)
     }
   }
 
   test("random graphs: degree sum equals 2m") {
     for (seed <- 1 to 5) {
       val h = LocalGen.localRandom(60, 4.0, seed)
-      val degSum = (0 until h.n).map(u => h.adjHi(u).length + h.adjLo(u).length).sum
+      val degSum = (0 until h.n).map(h.degree).sum
       assert(degSum == 2 * h.m)
     }
   }

@@ -1,5 +1,6 @@
 package repro.ref
 
+import repro.Fixtures
 import repro.core.Community
 import repro.graph.{GraphOps, WGraph}
 
@@ -78,7 +79,7 @@ object Naive {
     */
   def gammaTrussEdges(g: WGraph, gamma: Int, p: Int): Set[(Int, Int)] = {
     var edges = mutable.Set.empty[(Int, Int)]
-    for (u <- 0 until p; v <- g.adjHi(u)) edges += ((math.min(u, v), math.max(u, v)))
+    for (u <- 0 until p; v <- Fixtures.hiRow(g, u)) edges += ((math.min(u, v), math.max(u, v)))
     var changed = true
     while (changed) {
       val adj = mutable.Map.empty[Int, mutable.Set[Int]]

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.SparkEnv
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.LocalSearch
 import repro.gen.GraphGen
 import repro.graph.{GraphOps, WGraph}
@@ -227,7 +227,7 @@ class SparkLayerSpec extends SparkSpec {
 
   test("SparkCC component count matches a local union-find") {
     val cnt = SparkCC.componentCount(spark, edges)
-    val ranks = (0 until local.n).filter(u => local.adjHi(u).nonEmpty || local.adjLo(u).nonEmpty)
+    val ranks = (0 until local.n).filter(u => Fixtures.hiRow(local, u).nonEmpty || Fixtures.loRow(local, u).nonEmpty)
     val comp = GraphOps.components(local, ranks.toArray, local.n)
     val localCnt = comp.filter(_ >= 0).distinct.length
     assert(cnt == localCnt)
@@ -266,7 +266,7 @@ class SparkLayerSpec extends SparkSpec {
       assert(g.n == p)
       assert(g.weights.toSeq == local.weights.take(p).toSeq, s"p=$p")
       assert(g.origId.toSeq == local.origId.take(p).toSeq, s"p=$p")
-      assert((0 until p).forall(u => g.adjHi(u).sameElements(local.adjHi(u))), s"p=$p")
+      assert((0 until p).forall(u => Fixtures.hiRow(g, u).sameElements(Fixtures.hiRow(local, u))), s"p=$p")
     }
   }
 
