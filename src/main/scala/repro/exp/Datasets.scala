@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.gen.GraphGen
-import repro.graph.WGraph
+import repro.graph.{Peeler, WGraph}
 import repro.spark.{PageRankWeights, SparkGraphStore}
 
 import scala.collection.concurrent.TrieMap
@@ -78,10 +78,21 @@ object Datasets {
 
   /** γ_max: the largest γ with a non-empty γ-core, i.e. the maximum coreness
     * (0 for an empty graph). Sweeps skip every γ above it, as the paper caps
-    * Email at γ = 40.
+    * Email at γ = 40. γ-cores shrink as γ grows, so a binary search over
+    * `[0, max degree]` finds it in about log₂(max degree) peels.
     */
   def gammaMax(g: WGraph): Int = {
-    val core = repro.graph.GraphOps.coreDecomposition(g)
-    if (core.isEmpty) 0 else core.max
+    def nonEmptyCore(gamma: Int): Boolean = {
+      val peeler = new Peeler(g, g.n, gamma)
+      peeler.reduceToCore()
+      peeler.aliveCount > 0
+    }
+    var lo = 0 // the 0-core is every vertex
+    var hi = (0 until g.n).foldLeft(0)((d, u) => math.max(d, g.degree(u)))
+    while (lo < hi) {
+      val mid = (lo + hi + 1) >>> 1
+      if (nonEmptyCore(mid)) lo = mid else hi = mid - 1
+    }
+    lo
   }
 }

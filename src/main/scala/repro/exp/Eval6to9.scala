@@ -3,7 +3,8 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.baseline.{EdgeStore, Forward, LocalSearchSE, OnlineAllSE}
 import repro.core.{LocalSearch, LocalSearchP, Truss}
-import repro.graph.GraphOps
+import repro.graph.Peeler
+import repro.util.IntArrayList
 
 /** Eval-VI (Figs. 16–17): semi-external algorithms on the two largest
   * graphs. The paper's 1 GB edge budget is scaled to the stand-ins as a
@@ -116,18 +117,23 @@ object Eval9 {
     val t6 = truss6.head
     // rank (1 = highest weight) of each community's minimum-weight vertex
     def keyRank(keyId: Long): Int = g.rankOf(keyId) + 1
+    // the component of rank u in the 5-core of the top-p prefix (empty if
+    // the core drops u)
+    def coreComponent(p: Int, u: Int): Set[Int] = {
+      val peeler = new Peeler(g, p, 5)
+      peeler.reduceToCore()
+      val out = new IntArrayList()
+      if (peeler.alive(u)) peeler.component(u, out)
+      out.toArray.toSet
+    }
     // size of the whole connected 5-core component around the 5-community key
-    val coreMembers = GraphOps.gammaCore(g, 5, g.n)
-    val comp = GraphOps.components(g, coreMembers, g.n)
-    val keyR = g.rankOf(c5.keyId)
-    val coreCompSize = if (comp(keyR) == -1) 0 else comp.count(_ == comp(keyR))
+    val coreCompSize = coreComponent(g.n, g.rankOf(c5.keyId)).size
     // the (γ−1)-community claim: the 6-truss community's members all sit in
     // the influential 5-community with the same keynode, the component of
     // that key in the 5-core of the prefix down to it
     val t6KeyRank = g.rankOf(t6.keyId)
-    val comp6 = GraphOps.components(g, GraphOps.gammaCore(g, 5, t6KeyRank + 1), t6KeyRank + 1)
-    val in5Community = comp6(t6KeyRank) != -1 &&
-      t6.members.map(g.rankOf).forall(r => r <= t6KeyRank && comp6(r) == comp6(t6KeyRank))
+    val community5 = coreComponent(t6KeyRank + 1, t6KeyRank)
+    val in5Community = community5.nonEmpty && t6.members.forall(id => community5(g.rankOf(id)))
     Seq(
       Seq("top-1 influential 5-community size", c5.members.length.toString),
       Seq("  its min-weight vertex rank", s"${keyRank(c5.keyId)} / ${g.n}"),

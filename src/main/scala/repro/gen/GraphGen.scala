@@ -63,22 +63,7 @@ object GraphGen {
     val rnd = new Random(seed)
     val sizes = (0 until nCommunities).map(i =>
       math.max(4, (baseSize / math.pow(i + 1, 0.6)).toInt))
-    val starts = sizes.scanLeft(0L)(_ + _)
-    val n = starts.last
-    val edges = mutable.LinkedHashSet.empty[(Long, Long)]
-    def put(x: Long, y: Long): Unit =
-      if (x != y) edges += ((math.min(x, y), math.max(x, y)))
-    for (ci <- 0 until nCommunities) {
-      val s = starts(ci); val sz = sizes(ci)
-      for (v <- 0L until sz) {
-        // ring for connectivity + random chords for density
-        put(s + v, s + (v + 1) % sz)
-        for (_ <- 0 until intraDeg) put(s + v, s + rnd.nextInt(sz))
-      }
-    }
-    for (_ <- 0 until interEdges)
-      put(rnd.nextLong(n), rnd.nextLong(n))
-    edges.toSeq.toDF("src", "dst")
+    wireBlocks(sizes, intraDeg, interEdges, rnd).toSeq.toDF("src", "dst")
   }
 
   /** Weight-banded planted blocks, for the non-containment experiment
@@ -93,23 +78,37 @@ object GraphGen {
                          interTotal: Int, seed: Long): WGraph = {
     val rnd = new Random(seed)
     val n = nBlocks * blockSize
-    val edges = mutable.LinkedHashSet.empty[(Long, Long)]
-    def put(x: Long, y: Long): Unit =
-      if (x != y) edges += ((math.min(x, y), math.max(x, y)))
-    for (b <- 0 until nBlocks; v <- 0 until blockSize) {
-      val id = b * blockSize + v
-      put(id, b * blockSize + (v + 1) % blockSize)
-      for (_ <- 0 until intraDeg) put(id, b * blockSize + rnd.nextInt(blockSize))
-    }
     // Sparse *total* inter wiring: the block-level graph must stay mostly
     // disconnected, otherwise the peel's component tree never branches and
     // only one NC community survives (one chain of nested communities).
-    for (_ <- 0 until interTotal) put(rnd.nextLong(n), rnd.nextLong(n))
+    val edges = wireBlocks(Seq.fill(nBlocks)(blockSize), intraDeg, interTotal, rnd)
     // band weights: block b spans (nBlocks − b − 1, nBlocks − b], jittered
     val weights = (0L until n.toLong).map { id =>
       val b = (id / blockSize).toInt
       id -> ((nBlocks - b).toDouble - rnd.nextDouble() * 0.98)
     }
     WGraph(weights, edges)
+  }
+
+  /** Blocks of the given sizes over consecutive ids from 0, each wired as a
+    * ring (for connectivity) plus `intraDeg` random chords per vertex (for
+    * density), then `inter` random edges over all ids. Self-loops are
+    * dropped and edges deduplicated, as `(min, max)` in insertion order.
+    */
+  private def wireBlocks(sizes: Seq[Int], intraDeg: Int, inter: Int,
+                         rnd: Random): mutable.LinkedHashSet[(Long, Long)] = {
+    val edges = mutable.LinkedHashSet.empty[(Long, Long)]
+    def put(x: Long, y: Long): Unit =
+      if (x != y) edges += ((math.min(x, y), math.max(x, y)))
+    var start = 0L
+    for (size <- sizes) {
+      for (v <- 0 until size) {
+        put(start + v, start + (v + 1) % size)
+        for (_ <- 0 until intraDeg) put(start + v, start + rnd.nextInt(size))
+      }
+      start += size
+    }
+    for (_ <- 0 until inter) put(rnd.nextLong(start), rnd.nextLong(start))
+    edges
   }
 }

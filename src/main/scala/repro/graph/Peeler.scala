@@ -4,13 +4,13 @@ import repro.util.{IntArrayList, IntQueue}
 
 /** Mutable γ-core peeling engine over the top-`p` prefix of a [[WGraph]].
   *
-  * This is the shared machinery of Alg. 2 (CountIC), Alg. 5 (ConstructCVS)
-  * and every baseline: an `alive` bitmap plus maintained degrees, an initial
-  * reduction to the γ-core, and the cascading `Remove(u, g, cvs)` procedure
-  * (Alg. 2 lines 9–15). Each vertex enters the removal queue at most once
-  * because a vertex is enqueued exactly when its degree is about to drop from
-  * γ to γ−1 (the paper's "degree == γ" check), so the whole peel is linear in
-  * `size(prefix)`.
+  * This is the shared machinery of Alg. 2 (CountIC), Alg. 5 (ConstructCVS),
+  * every baseline and the tables' γ_max and Eval-IX figures: an `alive`
+  * bitmap plus maintained degrees, an initial reduction to the γ-core, and
+  * the cascading `Remove(u, g, cvs)` procedure (Alg. 2 lines 9–15). Each
+  * vertex enters the removal queue at most once because a vertex is enqueued
+  * exactly when its degree is about to drop from γ to γ−1 (the paper's
+  * "degree == γ" check), so the whole peel is linear in `size(prefix)`.
   */
 final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
 
@@ -116,8 +116,8 @@ final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
   }
 
   // The neighbour loops here and in CommunityIndex are written out over the
-  // graph's CSR arrays rather than through WGraph.foreachNeighborIn: that
-  // method's one call site of its closure would see every loop's lambda
+  // graph's CSR arrays rather than shared as one visitor taking a closure:
+  // that visitor's one call site of the closure would see every loop's lambda
   // class, and a megamorphic call per neighbour visit is most of a peel's time.
   private def drain(cvs: IntArrayList): Unit = {
     val hiOff = g.hiOff
@@ -147,84 +147,4 @@ final class Peeler(val g: WGraph, val p: Int, val gamma: Int) {
       if (deg(w) == gamma) queue.push(w)
       deg(w) -= 1
     }
-}
-
-/** Read-only graph algorithms shared by baselines, stats and tests. */
-object GraphOps {
-
-  /** Ranks of the γ-core of the top-`p` prefix. */
-  def gammaCore(g: WGraph, gamma: Int, p: Int): Array[Int] = {
-    val peeler = new Peeler(g, p, gamma)
-    peeler.reduceToCore()
-    val out = new IntArrayList(peeler.aliveCount)
-    var u = 0
-    while (u < p) { if (peeler.alive(u)) out.add(u); u += 1 }
-    out.toArray
-  }
-
-  /** Full core decomposition: coreness number per rank (standard bucket peel).
-    * Used for the Table-1 γ_max statistic (γ_max = max coreness).
-    */
-  def coreDecomposition(g: WGraph): Array[Int] = {
-    val n = g.n
-    val deg = Array.tabulate(n)(g.degree)
-    val maxDeg = if (n == 0) 0 else deg.max
-    // bucket sort vertices by degree
-    val bin = new Array[Int](maxDeg + 2)
-    var u = 0
-    while (u < n) { bin(deg(u)) += 1; u += 1 }
-    var start = 0
-    var d = 0
-    while (d <= maxDeg) { val c = bin(d); bin(d) = start; start += c; d += 1 }
-    val pos = new Array[Int](n)
-    val vert = new Array[Int](n)
-    u = 0
-    while (u < n) { pos(u) = bin(deg(u)); vert(pos(u)) = u; bin(deg(u)) += 1; u += 1 }
-    d = maxDeg
-    while (d >= 0) { bin(d + 1) = bin(d); d -= 1 }
-    bin(0) = 0
-    val core = new Array[Int](n)
-    var i = 0
-    while (i < n) {
-      val v = vert(i)
-      core(v) = deg(v)
-      g.foreachNeighborIn(v, n) { w =>
-        if (deg(w) > deg(v)) {
-          val dw = deg(w); val pw = pos(w); val pfirst = bin(dw); val vfirst = vert(pfirst)
-          if (v != vfirst && w != vfirst) {
-            vert(pw) = vfirst; vert(pfirst) = w
-            pos(w) = pfirst; pos(vfirst) = pw
-          }
-          bin(dw) += 1
-          deg(w) -= 1
-        }
-      }
-      i += 1
-    }
-    core
-  }
-
-  /** Connected components of the subgraph induced by `members` (within prefix
-    * `p`). Returns a component id per rank (−1 outside `members`).
-    */
-  def components(g: WGraph, members: Array[Int], p: Int): Array[Int] = {
-    val comp = Array.fill(p)(-1)
-    val inSet = new Array[Boolean](p)
-    members.foreach(inSet(_) = true)
-    val stack = new IntArrayList()
-    var cid = 0
-    for (s <- members if comp(s) == -1) {
-      comp(s) = cid
-      stack.clear(); stack.add(s)
-      var top = 0
-      while (top < stack.length) {
-        val v = stack(top); top += 1
-        g.foreachNeighborIn(v, p) { w =>
-          if (w < p && inSet(w) && comp(w) == -1) { comp(w) = cid; stack.add(w) }
-        }
-      }
-      cid += 1
-    }
-    comp
-  }
 }

@@ -55,19 +55,6 @@ final class WGraph private[graph] (
     degree(u) - (loOff(u + 1) - a)
   }
 
-  /** Visit every neighbour of `u` inside the top-`p` prefix. Used off the
-    * query path only: its one call of `f` would see every caller's lambda
-    * class, so the query path's loops are written out (see [[Peeler]]).
-    */
-  def foreachNeighborIn(u: Int, p: Int)(f: Int => Unit): Unit = {
-    var i = hiOff(u)
-    val hEnd = hiOff(u + 1)
-    while (i < hEnd) { f(hi(i)); i += 1 }
-    i = loOff(u)
-    val lEnd = loOff(u + 1)
-    while (i < lEnd && lo(i) < p) { f(lo(i)); i += 1 }
-  }
-
   /** The [[RankTable]] over this graph's ranks, built on the first [[rankOf]]. */
   private lazy val ranks = new RankTable(origId, weights)
 

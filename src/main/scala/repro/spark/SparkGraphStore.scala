@@ -31,9 +31,9 @@ import repro.graph.{PrefixEdges, RankTable, WGraph}
 final class SparkGraphStore private (
     private[spark] val spark: SparkSession,
     /** Original id by rank; rank 0 = highest weight. */
-    protected val origId: Array[Long],
+    protected[spark] val origId: Array[Long],
     /** Weight by rank; non-increasing. */
-    protected val weights: Array[Double],
+    protected[spark] val weights: Array[Double],
     /** One ascending array of packed edges per partition; persisted and
       * locally checkpointed.
       */
@@ -66,25 +66,6 @@ final class SparkGraphStore private (
 
   /** The whole graph, local. */
   def toLocal: WGraph = collectPrefix(n)
-
-  /** (id, weight, rank), built from the driver arrays on each call; not cached. */
-  def vertices: DataFrame = {
-    import spark.implicits._
-    origId.indices.map(r => (origId(r), weights(r), r)).toDF("id", "weight", "rank")
-  }
-
-  /** (src, dst, srcRank, dstRank, maxRank) with src < dst, derived from the
-    * packed edges on each call; not cached.
-    */
-  def edges: DataFrame = {
-    import spark.implicits._
-    val id = origId // a local, so the task closure does not capture the store
-    packed.flatMap(_.iterator.map { e =>
-      val hi = (e >>> 32).toInt
-      val lo = e.toInt
-      if (id(lo) < id(hi)) (id(lo), id(hi), lo, hi, hi) else (id(hi), id(lo), hi, lo, hi)
-    }).toDF("src", "dst", "srcRank", "dstRank", "maxRank")
-  }
 
   def unpersist(): Unit = packed.unpersist()
 }

@@ -1,6 +1,7 @@
 package repro
 
-import repro.graph.WGraph
+import repro.graph.{Peeler, WGraph}
+import repro.util.IntArrayList
 
 /** Hand-built graphs with known community structure, used for exact-value
   * tests (the paper's own figures don't list their edge sets, so we mirror
@@ -102,4 +103,43 @@ object Fixtures {
 
   /** Rank `u`'s row of `g.lo`: its lower-weight neighbours N<(u), ascending. */
   def loRow(g: WGraph, u: Int): Array[Int] = java.util.Arrays.copyOfRange(g.lo, g.loOff(u), g.loOff(u + 1))
+
+  /** Visit every neighbour of `u` inside the top-`p` prefix. */
+  def foreachNeighborIn(g: WGraph, u: Int, p: Int)(f: Int => Unit): Unit = {
+    var i = g.hiOff(u)
+    while (i < g.hiOff(u + 1)) { f(g.hi(i)); i += 1 }
+    i = g.loOff(u)
+    while (i < g.loOff(u + 1) && g.lo(i) < p) { f(g.lo(i)); i += 1 }
+  }
+
+  /** Ranks of the γ-core of the top-`p` prefix, as [[Peeler]] peels it. */
+  def gammaCore(g: WGraph, gamma: Int, p: Int): Array[Int] = {
+    val peeler = new Peeler(g, p, gamma)
+    peeler.reduceToCore()
+    (0 until p).filter(peeler.alive(_)).toArray
+  }
+
+  /** Connected components of the subgraph induced by `members` (within prefix
+    * `p`). Returns a component id per rank (−1 outside `members`).
+    */
+  def components(g: WGraph, members: Array[Int], p: Int): Array[Int] = {
+    val comp = Array.fill(p)(-1)
+    val inSet = new Array[Boolean](p)
+    members.foreach(inSet(_) = true)
+    val stack = new IntArrayList()
+    var cid = 0
+    for (s <- members if comp(s) == -1) {
+      comp(s) = cid
+      stack.clear(); stack.add(s)
+      var top = 0
+      while (top < stack.length) {
+        val v = stack(top); top += 1
+        foreachNeighborIn(g, v, p) { w =>
+          if (inSet(w) && comp(w) == -1) { comp(w) = cid; stack.add(w) }
+        }
+      }
+      cid += 1
+    }
+    comp
+  }
 }

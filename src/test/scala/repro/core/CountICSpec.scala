@@ -31,7 +31,7 @@ class CountICSpec extends AnyFunSuite {
   test("cvs contains exactly the γ-core vertices") {
     val g = Fixtures.paperLike
     val res = CountIC.run(g, g.n, 3)
-    val core = repro.graph.GraphOps.gammaCore(g, 3, g.n).toSet
+    val core = Fixtures.gammaCore(g, 3, g.n).toSet
     assert(res.cvs.toSet == core)
   }
 

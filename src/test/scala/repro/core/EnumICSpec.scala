@@ -81,11 +81,11 @@ class EnumICSpec extends AnyFunSuite {
         // cohesive: min internal degree ≥ γ
         for (u <- ranks) {
           var d = 0
-          g.foreachNeighborIn(u, g.n)(w => if (ranks(w)) d += 1)
+          Fixtures.foreachNeighborIn(g, u, g.n)(w => if (ranks(w)) d += 1)
           assert(d >= gamma, s"vertex ${g.origId(u)} degree $d < $gamma")
         }
         // connected: BFS from the keynode covers all members
-        val comp = repro.graph.GraphOps.components(g, ranks.toArray, g.n)
+        val comp = Fixtures.components(g, ranks.toArray, g.n)
         assert(comp.count(_ >= 0) == ranks.size && comp.filter(_ >= 0).distinct.length == 1)
       }
     }

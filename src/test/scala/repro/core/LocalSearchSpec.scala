@@ -33,7 +33,7 @@ class LocalSearchSpec extends AnyFunSuite {
 
   test("γ above the degeneracy returns empty") {
     val g = LocalGen.localPowerLaw(60, 4, 2)
-    val gmax = repro.graph.GraphOps.coreDecomposition(g).max
+    val gmax = repro.exp.Datasets.gammaMax(g)
     val (got, _) = LocalSearch.topK(g, 5, gmax + 1)
     assert(got.isEmpty)
   }

@@ -1,7 +1,7 @@
 package repro.gen
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Fixtures, Oracle, SparkSpec}
 import repro.spark.{PageRankWeights, SparkGraphStore}
 
 class GeneratorSpec extends SparkSpec {
@@ -35,6 +35,25 @@ class GeneratorSpec extends SparkSpec {
     // planted blocks are small and dense: the top community should be a
     // fraction of the graph, not the whole graph
     assert(top.head.members.length < g.n / 2)
+  }
+
+  /** Edge count and a wrapping sum of per-edge hashes: the same for every
+    * order of one edge set, and (almost surely) different for another set.
+    */
+  private def fingerprint(edges: Seq[(Long, Long)]): (Int, Long) =
+    (edges.length, edges.map { case (a, b) =>
+      val h = math.min(a, b) * 0x9E3779B97F4A7C15L ^ (math.max(a, b) + 0x632BE59BD9B4E019L)
+      h ^ (h >>> 29)
+    }.sum)
+
+  // Pins the graphs themselves: the determinism tests compare two runs of the
+  // same code, so they would miss a change in the graph it generates.
+  test("the block generators keep their graphs") {
+    val planted = GraphGen.plantedCommunities(spark, 60, 90, 6, 700, 7L).as[(Long, Long)].collect().toSeq
+    val g = GraphGen.weightBandedBlocks(40, 24, 7, 15, 13L)
+    val bands = for (u <- 0 until g.n; v <- Fixtures.hiRow(g, u)) yield (g.origId(u), g.origId(v))
+    assert(fingerprint(planted) == (5158, 4139185629673567519L))
+    assert(fingerprint(bands) == (5474, -6292506138021296236L))
   }
 
   test("localRandom determinism") {

@@ -2,53 +2,40 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
+import repro.Fixtures.{components, foreachNeighborIn, gammaCore}
+import repro.exp.Datasets
 import repro.gen.LocalGen
+import repro.ref.Naive
 import repro.util.IntArrayList
 
 class PeelerSpec extends AnyFunSuite {
 
-  /** Reference γ-core: iterate removals until fixpoint, from scratch. */
-  private def naiveCore(g: WGraph, gamma: Int, p: Int): Set[Int] = {
-    var alive = (0 until p).toSet
-    var changed = true
-    while (changed) {
-      val next = alive.filter { u =>
-        var d = 0
-        g.foreachNeighborIn(u, p)(w => if (alive(w)) d += 1)
-        d >= gamma
-      }
-      changed = next != alive
-      alive = next
-    }
-    alive
-  }
-
   test("paperLike γ=3 core drops the pendant and keeps the rest") {
     val g = Fixtures.paperLike
-    val core = GraphOps.gammaCore(g, 3, g.n).map(g.origId).toSet
+    val core = gammaCore(g, 3, g.n).map(g.origId).toSet
     assert(core == (0L to 10L).toSet) // pendant id 11 is out
   }
 
   test("star graph has empty 2-core") {
-    assert(GraphOps.gammaCore(Fixtures.star, 2, Fixtures.star.n).isEmpty)
+    assert(gammaCore(Fixtures.star, 2, Fixtures.star.n).isEmpty)
   }
 
   test("γ=0 core keeps everything") {
     val g = Fixtures.paperLike
-    assert(GraphOps.gammaCore(g, 0, g.n).length == g.n)
+    assert(gammaCore(g, 0, g.n).length == g.n)
   }
 
   for (seed <- 1 to 6; gamma <- 1 to 4)
     test(s"γ-core matches naive fixpoint (seed=$seed γ=$gamma)") {
       val g = LocalGen.localRandom(50, 5.0, seed)
-      val expected = naiveCore(g, gamma, g.n)
-      assert(GraphOps.gammaCore(g, gamma, g.n).toSet == expected)
+      val expected = Naive.gammaCore(g, gamma, g.n)
+      assert(gammaCore(g, gamma, g.n).toSet == expected)
     }
 
   for (seed <- 1 to 3; p <- Seq(10, 25, 40))
     test(s"prefix γ-core matches naive (seed=$seed p=$p)") {
       val g = LocalGen.localRandom(50, 5.0, seed)
-      assert(GraphOps.gammaCore(g, 3, p).toSet == naiveCore(g, 3, p))
+      assert(gammaCore(g, 3, p).toSet == Naive.gammaCore(g, 3, p))
     }
 
   test("degrees after reduceToCore are consistent") {
@@ -57,7 +44,7 @@ class PeelerSpec extends AnyFunSuite {
     peeler.reduceToCore()
     for (u <- 0 until g.n if peeler.alive(u)) {
       var d = 0
-      g.foreachNeighborIn(u, g.n)(w => if (peeler.alive(w)) d += 1)
+      foreachNeighborIn(g, u, g.n)(w => if (peeler.alive(w)) d += 1)
       assert(peeler.deg(u) == d && d >= 3)
     }
   }
@@ -96,27 +83,36 @@ class PeelerSpec extends AnyFunSuite {
   }
 }
 
+/** γ_max, the test helpers' component labels, and the peel's keynode cursor
+  * and component walk.
+  */
 class GraphOpsSpec extends AnyFunSuite {
 
-  test("coreDecomposition on a 4-clique is 3 everywhere") {
+  test("gammaMax on a 4-clique is 3") {
     val g = WGraph((0L to 3L).map(i => i -> (10.0 - i)),
       for (i <- 0L to 3L; j <- i + 1 to 3L) yield (i, j))
-    assert(GraphOps.coreDecomposition(g).toSeq == Seq(3, 3, 3, 3))
+    assert(Datasets.gammaMax(g) == 3)
   }
 
-  test("coreDecomposition on the star is 1 everywhere") {
-    assert(GraphOps.coreDecomposition(Fixtures.star).forall(_ == 1))
+  test("gammaMax on the star is 1") {
+    assert(Datasets.gammaMax(Fixtures.star) == 1)
+  }
+
+  test("gammaMax on an empty graph is 0") {
+    assert(Datasets.gammaMax(WGraph(Seq.empty, Seq.empty)) == 0)
   }
 
   for (seed <- 1 to 5)
     test(s"coreness matches repeated γ-core membership (seed=$seed)") {
       val g = LocalGen.localRandom(40, 4.0, seed)
-      val core = GraphOps.coreDecomposition(g)
-      val maxGamma = if (core.isEmpty) 0 else core.max
-      for (gamma <- 1 to maxGamma) {
-        val members = GraphOps.gammaCore(g, gamma, g.n).toSet
-        assert((0 until g.n).forall(u => members(u) == (core(u) >= gamma)),
-          s"γ=$gamma")
+      // Naive's non-empty γ-cores, γ = 0, 1, …: a vertex's coreness is the
+      // largest γ whose core holds it, and γ_max the largest γ with one
+      val cores = Iterator.from(0).map(Naive.gammaCore(g, _, g.n)).takeWhile(_.nonEmpty).toIndexedSeq
+      val coreness = (0 until g.n).map(u => cores.lastIndexWhere(_(u)))
+      assert(Datasets.gammaMax(g) == cores.length - 1)
+      for (gamma <- 1 until cores.length) {
+        val members = gammaCore(g, gamma, g.n).toSet
+        assert((0 until g.n).forall(u => members(u) == (coreness(u) >= gamma)), s"γ=$gamma")
       }
     }
 
@@ -124,7 +120,7 @@ class GraphOpsSpec extends AnyFunSuite {
     val g = Fixtures.paperLike
     // members: the two cliques only (drop bridge/pendant/extensions)
     val members = Array(0L, 1L, 2L, 3L, 5L, 6L, 7L, 8L).map(g.rankOf)
-    val comp = GraphOps.components(g, members, g.n)
+    val comp = components(g, members, g.n)
     val cliqueA = Set(0L, 1L, 2L, 3L).map(g.rankOf)
     val cliqueB = Set(5L, 6L, 7L, 8L).map(g.rankOf)
     assert(cliqueA.map(comp(_)).size == 1)
@@ -134,7 +130,7 @@ class GraphOpsSpec extends AnyFunSuite {
 
   test("components marks non-members with -1") {
     val g = Fixtures.paperLike
-    val comp = GraphOps.components(g, Array(0, 1), g.n)
+    val comp = components(g, Array(0, 1), g.n)
     assert(comp(g.rankOf(11L)) == -1)
   }
 

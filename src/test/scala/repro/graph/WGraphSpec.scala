@@ -91,7 +91,7 @@ class WGraphSpec extends AnyFunSuite {
   test("foreachNeighborIn visits exactly the in-prefix neighbours") {
     for (p <- 1 to g.n; u <- 0 until p) {
       val buf = scala.collection.mutable.ArrayBuffer.empty[Int]
-      g.foreachNeighborIn(u, p)(buf += _)
+      Fixtures.foreachNeighborIn(g, u, p)(buf += _)
       val expected = (hiRow(g, u) ++ loRow(g, u)).filter(_ < p).toSet
       assert(buf.toSet == expected && buf.size == expected.size)
     }

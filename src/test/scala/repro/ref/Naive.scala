@@ -2,15 +2,19 @@ package repro.ref
 
 import repro.Fixtures
 import repro.core.Community
-import repro.graph.{GraphOps, WGraph}
+import repro.graph.WGraph
 
 import scala.collection.mutable
 
 /** Brute-force reference implementations used as *independent* test oracles.
   *
   * Everything here is derived directly from Definitions 2.2/3.1/5.1 rather
-  * than from the paper's algorithms:
+  * than from the paper's algorithms, and reads the graph only through its
+  * rows ([[Fixtures.hiRow]], [[Fixtures.loRow]]): no code is shared with the
+  * peel the algorithms run on.
   *
+  *  - the γ-core of a vertex set is what is left once every vertex with
+  *    fewer than γ neighbours in the set is deleted, repeated to a fixpoint;
   *  - u is a keynode  ⇔  u survives in the γ-core of `G≥ω(u)` (a subgraph
   *    with influence ω(u) and min degree γ exists iff that core contains u);
   *  - IC(u) is the connected component of u in that γ-core (maximality and
@@ -21,26 +25,48 @@ import scala.collection.mutable
   */
 object Naive {
 
+  /** All neighbours of rank `u`. */
+  private def neighbours(g: WGraph, u: Int): Array[Int] = Fixtures.hiRow(g, u) ++ Fixtures.loRow(g, u)
+
+  /** Ranks of the γ-core of the top-`p` prefix: every vertex with fewer than
+    * γ alive neighbours is deleted, all at once, until no vertex is deleted.
+    */
+  def gammaCore(g: WGraph, gamma: Int, p: Int): Set[Int] = {
+    val adj = Array.tabulate(p)(neighbours(g, _).filter(_ < p))
+    var alive = (0 until p).toSet
+    var changed = true
+    while (changed) {
+      val next = alive.filter(u => adj(u).count(alive) >= gamma)
+      changed = next.size != alive.size
+      alive = next
+    }
+    alive
+  }
+
+  /** The vertices reachable from `u` along `adj`, `u` included. */
+  private def reachable(u: Int)(adj: Int => Iterable[Int]): Set[Int] = {
+    val seen = mutable.Set(u)
+    val stack = mutable.Stack(u)
+    while (stack.nonEmpty) {
+      val v = stack.pop()
+      for (w <- adj(v) if seen.add(w)) stack.push(w)
+    }
+    seen.toSet
+  }
+
   /** Ranks of all keynodes (increasing weight order, matching CountIC). */
   def keynodes(g: WGraph, gamma: Int): Seq[Int] = {
     // prefix for rank u is the top-(u+1) ranks: exactly G≥ω(u)
-    (g.n - 1 to 0 by -1).filter { u =>
-      GraphOps.gammaCore(g, gamma, u + 1).contains(u)
-    }
+    (g.n - 1 to 0 by -1).filter(u => gammaCore(g, gamma, u + 1).contains(u))
   }
 
   /** IC(u): component of u in the γ-core of `G≥ω(u)` (member ranks, sorted).
     * Returns None if u is not a keynode.
     */
   def communityOf(g: WGraph, gamma: Int, u: Int): Option[Array[Int]] = {
-    val p = u + 1
-    val core = GraphOps.gammaCore(g, gamma, p)
+    val core = gammaCore(g, gamma, u + 1)
     if (!core.contains(u)) None
-    else {
-      val comp = GraphOps.components(g, core, p)
-      val cid = comp(u)
-      Some(core.filter(comp(_) == cid).sorted)
-    }
+    else Some(reachable(u)(v => neighbours(g, v).filter(core)).toArray.sorted)
   }
 
   /** Top-k communities in decreasing influence order (materialised). */
@@ -116,13 +142,7 @@ object Naive {
         adj.getOrElseUpdate(a, mutable.Set.empty) += b
         adj.getOrElseUpdate(b, mutable.Set.empty) += a
       }
-      val seen = mutable.Set(u)
-      val stack = mutable.Stack(u)
-      while (stack.nonEmpty) {
-        val v = stack.pop()
-        for (w <- adj.getOrElse(v, mutable.Set.empty) if seen.add(w)) stack.push(w)
-      }
-      Some(seen.toArray.sorted)
+      Some(reachable(u)(adj.getOrElse(_, mutable.Set.empty)).toArray.sorted)
     }
   }
 

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.LocalSearch
 import repro.gen.GraphGen
-import repro.graph.{GraphOps, WGraph}
+import repro.graph.WGraph
 import repro.ref.Naive
 
 import java.util.concurrent.ConcurrentLinkedQueue
@@ -79,7 +79,7 @@ class SparkLayerSpec extends SparkSpec {
   // -------------------------------------------------------------------- store
 
   test("store rank assignment matches DuckDB row_number [oracle]") {
-    val ranked = store.vertices.select($"id", $"rank")
+    val ranked = StoreViews.vertices(store).select($"id", $"rank")
     Oracle.assertEquivalent(ranked,
       """SELECT id,
         |       row_number() OVER (ORDER BY CAST(weight AS DOUBLE) DESC, CAST(id AS BIGINT)) - 1 AS rank
@@ -88,7 +88,7 @@ class SparkLayerSpec extends SparkSpec {
   }
 
   test("store edge ranks are consistent with the vertex table [oracle]") {
-    val joined = store.edges.select($"src", $"dst", $"srcRank", $"dstRank")
+    val joined = StoreViews.edges(store).select($"src", $"dst", $"srcRank", $"dstRank")
     Oracle.assertEquivalent(joined,
       """WITH ranked AS (
         |  SELECT id,
@@ -113,12 +113,12 @@ class SparkLayerSpec extends SparkSpec {
 
   test("cumEdges histogram matches a per-threshold DuckDB count [oracle]") {
     for (p <- Seq(1, store.n / 4, store.n / 2, store.n)) {
-      val cnt = store.edges.filter($"maxRank" < p).agg(count(lit(1)).as("edges_below"))
+      val cnt = StoreViews.edges(store).filter($"maxRank" < p).agg(count(lit(1)).as("edges_below"))
       Oracle.assertEquivalent(cnt,
         s"SELECT count(*) AS edges_below FROM se WHERE CAST(maxRank AS INT) < $p",
-        "se" -> store.edges)
+        "se" -> StoreViews.edges(store))
       assert(store.cumEdges(p) ==
-        store.edges.filter($"maxRank" < p).count())
+        StoreViews.edges(store).filter($"maxRank" < p).count())
     }
   }
 
@@ -220,7 +220,7 @@ class SparkLayerSpec extends SparkSpec {
   test("SparkKCore matches the local γ-core") {
     for (gamma <- Seq(2, 4)) {
       val distributed = SparkKCore.coreVertices(edges, gamma).as[Long].collect().toSet
-      val localCore = GraphOps.gammaCore(local, gamma, local.n).map(local.origId).toSet
+      val localCore = Fixtures.gammaCore(local, gamma, local.n).map(local.origId).toSet
       assert(distributed == localCore, s"γ=$gamma")
     }
   }
@@ -228,7 +228,7 @@ class SparkLayerSpec extends SparkSpec {
   test("SparkCC component count matches a local union-find") {
     val cnt = SparkCC.componentCount(spark, edges)
     val ranks = (0 until local.n).filter(u => Fixtures.hiRow(local, u).nonEmpty || Fixtures.loRow(local, u).nonEmpty)
-    val comp = GraphOps.components(local, ranks.toArray, local.n)
+    val comp = Fixtures.components(local, ranks.toArray, local.n)
     val localCnt = comp.filter(_ >= 0).distinct.length
     assert(cnt == localCnt)
   }
